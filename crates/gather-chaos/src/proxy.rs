@@ -185,10 +185,7 @@ fn serve_connection(
     started: Instant,
     stop: Arc<AtomicBool>,
 ) {
-    let Some(daemon) = dial_upstream(upstream) else {
-        // No upstream: the client sees an immediate close, exactly like
-        // a dead daemon.
-        let _ = client.shutdown(Shutdown::Both);
+    let Some(daemon) = open_legs(&client, upstream) else {
         return;
     };
     chaos_obs().connections.inc();
@@ -207,11 +204,28 @@ fn serve_connection(
     pump_frames(daemon, client, plan, conn, started, &stop);
 }
 
+/// Sets `TCP_NODELAY` on the client leg and dials the daemon leg, which
+/// [`dial_upstream`] sets it on too. All timing must come from the
+/// [`ChaosPlan`]; under Nagle's algorithm the second of two small frames in
+/// a row would wait out the peer's delayed ACK (~40 ms), a stall no plan
+/// asked for. `None` (the client leg shut down) when either step fails: the
+/// client sees an immediate close, exactly like a dead daemon.
+fn open_legs(client: &TcpStream, upstream: &str) -> Option<TcpStream> {
+    let daemon = match client.set_nodelay(true) {
+        Ok(()) => dial_upstream(upstream),
+        Err(_) => None,
+    };
+    if daemon.is_none() {
+        let _ = client.shutdown(Shutdown::Both);
+    }
+    daemon
+}
+
 fn dial_upstream(upstream: &str) -> Option<TcpStream> {
     let addrs = upstream.to_socket_addrs().ok()?;
     for addr in addrs {
         if let Ok(stream) = TcpStream::connect_timeout(&addr, UPSTREAM_DIAL_TIMEOUT) {
-            return Some(stream);
+            return stream.set_nodelay(true).ok().map(|()| stream);
         }
     }
     None
@@ -310,4 +324,22 @@ fn pump_frames(
         frame += 1;
     }
     sever(&daemon, &client);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_legs_disable_nagle() {
+        let proxy_side = TcpListener::bind("127.0.0.1:0").unwrap();
+        let daemon_side = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _dialer = TcpStream::connect(proxy_side.local_addr().unwrap()).unwrap();
+        let (accepted, _) = proxy_side.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "Nagle is on by default");
+        let upstream = daemon_side.local_addr().unwrap().to_string();
+        let daemon = open_legs(&accepted, &upstream).expect("daemon reachable");
+        assert!(accepted.nodelay().unwrap(), "client leg");
+        assert!(daemon.nodelay().unwrap(), "daemon leg");
+    }
 }

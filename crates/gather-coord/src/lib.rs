@@ -126,7 +126,9 @@ pub struct CoordConfig {
     /// Cells per dispatched chunk (`None`: about four chunks per shard,
     /// via [`plan::Plan::default_chunk`]). Smaller chunks lose less work
     /// per daemon death and steal more finely; larger chunks amortize
-    /// more per-submission overhead.
+    /// more per-submission overhead, which is one round trip (submit →
+    /// `Accepted`) per chunk: both ends of every connection set
+    /// `TCP_NODELAY`, so no frame waits on a delayed ACK.
     pub chunk: Option<usize>,
     /// Bound of the row merge queue, in rows. When the merger falls
     /// behind, workers block on the full queue — backpressure — instead

@@ -135,15 +135,25 @@ fn three_daemon_rows_are_byte_identical_to_local_and_single_daemon_runs() {
         // In-process daemons share this test binary's process-global
         // registry, so only a lower bound is exact here; the per-process
         // semantics are pinned in gather-service/tests/telemetry_e2e.rs.
+        // Each snapshot is pulled as soon as that daemon's own share
+        // drains, while other daemons may still be streaming, so the
+        // bound is the rows this daemon streamed, not the whole grid.
         assert!(
-            snapshot.value("service_cells_total").unwrap_or(0) >= total as i64,
-            "daemon metrics cover at least this sweep's cells"
+            snapshot.value("service_cells_total").unwrap_or(0) >= daemon.rows as i64,
+            "daemon metrics cover at least the cells it streamed: {daemon:?}"
         );
     }
 
     // Path 2: a plain single-daemon submission over the same store is
     // byte-identical and 100% cache hits — the coordinator populated it.
     let mut client = Client::connect(fleet[0].0).expect("connect single daemon");
+    // Pulled after `run_sweep` returned: every daemon counts a cell before
+    // it streams the row, so the whole coordinated grid is counted by now.
+    let after_coord = client.metrics().expect("in-band Metrics pull");
+    assert!(
+        after_coord.value("service_cells_total").unwrap_or(0) >= total as i64,
+        "daemon metrics cover the whole coordinated grid: {after_coord:?}"
+    );
     let single = client.run_sweep(&sweep, None).expect("single-daemon sweep");
     assert_eq!(
         serde_json::to_string(&single.rows).unwrap(),

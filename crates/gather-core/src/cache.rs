@@ -202,10 +202,13 @@ fn sha256(data: &[u8]) -> [u8; 32] {
     out
 }
 
+/// Lowercase hex, one allocation: [`spec_key`] runs on every cache hit.
 fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }

@@ -9,7 +9,9 @@
 //! attached, so callers cannot tell (except by the stats' cache hits) where
 //! the grid actually ran.
 
-use crate::protocol::{read_frame, write_frame, FrameError, Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{
+    frame_io, read_frame, write_frame, FrameError, Request, Response, PROTOCOL_VERSION,
+};
 use gather_core::sweep::{CellRange, SweepReport, SweepRow, SweepSpec, SweepStats};
 use gather_obs::{trace, Counter, MetricsSnapshot, Registry};
 use std::fmt;
@@ -199,8 +201,7 @@ impl Client {
     /// Connects to a daemon (no timeouts, no retries — the bare transport;
     /// see [`Client::connect_with_config`] for the hardened path).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
+        let (reader, writer) = frame_io(TcpStream::connect(addr)?)?;
         Ok(Client { reader, writer })
     }
 
@@ -239,7 +240,7 @@ impl Client {
 
     /// One connect attempt under `config`'s timeouts.
     fn connect_once(addr: &impl ToSocketAddrs, config: &ClientConfig) -> io::Result<Client> {
-        let writer = match config.connect_timeout {
+        let stream = match config.connect_timeout {
             None => TcpStream::connect(addr)?,
             Some(timeout) => {
                 let mut last_err = None;
@@ -263,8 +264,8 @@ impl Client {
                 })?
             }
         };
-        writer.set_read_timeout(config.read_timeout)?;
-        let reader = BufReader::new(writer.try_clone()?);
+        stream.set_read_timeout(config.read_timeout)?;
+        let (reader, writer) = frame_io(stream)?;
         Ok(Client { reader, writer })
     }
 
@@ -766,6 +767,20 @@ mod tests {
         // No overflow panic on absurd attempt numbers.
         let extreme = config.backoff_delay(u32::MAX);
         assert!(extreme <= Duration::from_millis(170), "{extreme:?}");
+    }
+
+    #[test]
+    fn both_constructors_disable_nagle() {
+        // The kernel completes the handshake from the listen backlog, so
+        // nothing needs to accept for the dials to succeed.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let bare = Client::connect(addr).unwrap();
+        let hardened = Client::connect_with_config(addr, &ClientConfig::default()).unwrap();
+        for client in [&bare, &hardened] {
+            assert!(client.writer.nodelay().unwrap());
+            assert!(client.reader.get_ref().nodelay().unwrap());
+        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ use gather_core::sweep::{CellRange, SweepRow, SweepSpec, SweepStats};
 use gather_obs::{Counter, MetricsSnapshot, Registry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
 /// Version of the frame layout; echoed in every [`Response::Accepted`].
@@ -251,8 +252,21 @@ fn frame_obs() -> &'static FrameObs {
     })
 }
 
-/// Writes one message as one newline-terminated JSON frame and flushes, so
-/// a streamed row is on the wire before the next cell is even claimed.
+/// Turns a connected socket into the (reader, writer) pair both ends of the
+/// protocol use, with `TCP_NODELAY` set. A daemon answers one request with
+/// several small frames in a row (`Accepted`, `Row`s, `Done`); under
+/// Nagle's algorithm each waits for the ACK of the one before, which a
+/// client with nothing to send delays by up to ~40 ms.
+pub(crate) fn frame_io(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_nodelay(true)?;
+    Ok((BufReader::new(stream.try_clone()?), stream))
+}
+
+/// Writes one message as one newline-terminated JSON frame in a single
+/// `write_all`. Both ends of a protocol connection set `TCP_NODELAY`, so
+/// that write puts the frame on the wire at once: a streamed row leaves
+/// before the next cell is claimed. The trailing flush only matters for
+/// buffered writers.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()> {
     let mut line = serde_json::to_string(msg).map_err(|e| {
         io::Error::new(
@@ -358,7 +372,6 @@ mod tests {
     use gather_core::sweep::Sweep;
     use gather_graph::generators::Family;
     use gather_sim::placement::PlacementKind;
-    use std::io::BufReader;
 
     fn demo_sweep() -> SweepSpec {
         Sweep::new()

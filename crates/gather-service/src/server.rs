@@ -17,7 +17,8 @@
 //! failure is an error *row*, not a panic.
 
 use crate::protocol::{
-    read_frame, write_frame, FrameError, Request, Response, MAX_CELLS_PER_SUBMIT, PROTOCOL_VERSION,
+    frame_io, read_frame, write_frame, FrameError, Request, Response, MAX_CELLS_PER_SUBMIT,
+    PROTOCOL_VERSION,
 };
 use crate::scheduler::{JobEvent, Scheduler};
 use gather_core::artifact::ArtifactCache;
@@ -26,7 +27,7 @@ use gather_core::scenario::ScenarioSpec;
 use gather_core::sweep::CellRange;
 use gather_obs::{trace, Gauge, Registry};
 use gather_sim::runner;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -194,8 +195,7 @@ fn handle_connection(
     // nothing for `idle_timeout` wakes the blocked `read_frame` with
     // `WouldBlock`/`TimedOut` below and the handler (thread + fd) exits.
     stream.set_read_timeout(idle_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let (mut reader, mut writer) = frame_io(stream)?;
     loop {
         let request = match read_frame::<Request>(&mut reader) {
             Ok(Some(req)) => req,

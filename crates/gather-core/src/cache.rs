@@ -32,7 +32,9 @@
 //!   serde value tree with every object's keys sorted (recursively),
 //!   serialized compactly. Canonicalisation makes the key independent of
 //!   field order, so a spec parsed from hand-written JSON with reordered
-//!   fields hashes identically to one built in Rust.
+//!   fields hashes identically to one built in Rust. The text is streamed
+//!   into the hasher as it is written ([`serde_json::write_canonical`]);
+//!   it is never materialised.
 //!
 //! The key format is pinned by a fixture test
 //! (`spec_key_is_pinned_across_releases`): it must never change silently,
@@ -45,7 +47,9 @@
 //! * [`MemStore`] — a `Mutex<HashMap>`; per-process, used by tests and
 //!   long-running services.
 //! * [`DirStore`] — one `<key>.json` file per entry under a root directory
-//!   (the repo convention is `results/cache/`). Writes go through a
+//!   (the repo convention is `results/cache/`), holding the entry as
+//!   compact single-line JSON (pretty entries written by older builds
+//!   still read). Writes go through a
 //!   temp-file + atomic rename so concurrent sweep workers and interrupted
 //!   runs can never leave a half-written entry behind; unreadable or corrupt
 //!   entries are treated as misses and recomputed.
@@ -65,8 +69,9 @@
 
 use crate::scenario::{ScenarioOutcome, ScenarioSpec};
 use gather_obs::{Counter, Registry};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,32 +103,12 @@ pub const ENGINE_VERSION: u32 = 1;
 /// field produce different keys. See the module docs for the exact format.
 pub fn spec_key(spec: &ScenarioSpec) -> String {
     let value = serde_json::to_value(spec).expect("ScenarioSpec serializes");
-    let canonical = canonical_json(&value);
+    let mut hasher = Sha256::new();
+    serde_json::write_canonical(&mut hasher, &value).expect("hashing never fails");
     format!(
         "v{KEY_FORMAT_VERSION}e{ENGINE_VERSION}-{}",
-        hex(&sha256(canonical.as_bytes()))
+        hex(&hasher.finish())
     )
-}
-
-/// Serializes a value tree to compact JSON with every object's keys sorted,
-/// recursively — the canonical form hashed by [`spec_key`].
-fn canonical_json(v: &Value) -> String {
-    serde_json::to_string(&sort_keys(v)).expect("Value serializes")
-}
-
-fn sort_keys(v: &Value) -> Value {
-    match v {
-        Value::Array(items) => Value::Array(items.iter().map(sort_keys).collect()),
-        Value::Object(entries) => {
-            let mut sorted: Vec<(String, Value)> = entries
-                .iter()
-                .map(|(k, v)| (k.clone(), sort_keys(v)))
-                .collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(sorted)
-        }
-        scalar => scalar.clone(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -142,64 +127,114 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// SHA-256 digest of `data`.
-fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Pad: message ‖ 0x80 ‖ zeros ‖ 64-bit big-endian bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+/// Streaming SHA-256: feed bytes with [`Sha256::update`] (or as text via
+/// [`std::fmt::Write`]) in pieces of any size, then take the digest with
+/// [`Sha256::finish`]. Only a partial 64-byte block is ever buffered.
+struct Sha256 {
+    state: [u32; 8],
+    block: [u8; 64],
+    filled: usize,
+    len: u64,
+}
 
+impl Sha256 {
+    fn new() -> Self {
+        Sha256 {
+            state: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+                0x5be0cd19,
+            ],
+            block: [0; 64],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let take = data.len().min(64 - self.filled);
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+            self.filled = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// Pads (message ‖ 0x80 ‖ zeros ‖ 64-bit big-endian bit length) and
+    /// returns the digest.
+    fn finish(mut self) -> [u8; 32] {
+        let bit_len = self.len.wrapping_mul(8);
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let zeros_to = if self.filled < 56 { 56 } else { 120 };
+        self.update(&pad[..zeros_to - self.filled]);
+        self.update(&bit_len.to_be_bytes());
+        debug_assert_eq!(self.filled, 0);
+        let mut out = [0u8; 32];
+        for (i, word) in self.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
+impl fmt::Write for Sha256 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// One SHA-256 compression round over a 64-byte block.
+fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(SHA256_K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
-        }
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4-byte word"));
     }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
-    out
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(SHA256_K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *slot = slot.wrapping_add(v);
+    }
 }
 
 /// Lowercase hex, one allocation: [`spec_key`] runs on every cache hit.
@@ -417,7 +452,7 @@ impl ResultStore for DirStore {
         if fs::create_dir_all(&self.root).is_err() {
             return;
         }
-        let Ok(json) = serde_json::to_string_pretty(entry) else {
+        let Ok(json) = serde_json::to_string(entry) else {
             return;
         };
         let tmp = self.root.join(format!(
@@ -462,26 +497,82 @@ mod tests {
         dir
     }
 
+    /// FIPS 180-4 example messages plus runs of `a` whose lengths sit on
+    /// either side of the padding (55/56 bytes) and block (64 bytes)
+    /// boundaries, with digests from an independent implementation.
+    fn sha256_vectors() -> Vec<(Vec<u8>, &'static str)> {
+        let a = |n: usize| vec![b'a'; n];
+        vec![
+            (b"".to_vec(), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc".to_vec(), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                    .to_vec(),
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (a(55), "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (a(56), "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
+            (a(63), "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (a(64), "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+            (a(65), "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"),
+            (a(119), "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+            (a(120), "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
+        ]
+    }
+
+    fn digest_of(pieces: &[&[u8]]) -> String {
+        let mut hasher = Sha256::new();
+        for piece in pieces {
+            hasher.update(piece);
+        }
+        hex(&hasher.finish())
+    }
+
     #[test]
     fn sha256_matches_the_fips_test_vectors() {
+        for (data, want) in sha256_vectors() {
+            assert_eq!(digest_of(&[&data]), want, "{} bytes", data.len());
+        }
+    }
+
+    #[test]
+    fn sha256_matches_the_test_vectors_fed_byte_by_byte() {
+        for (data, want) in sha256_vectors() {
+            let bytes: Vec<&[u8]> = data.chunks(1).collect();
+            assert_eq!(digest_of(&bytes), want, "{} bytes", data.len());
+        }
+    }
+
+    #[test]
+    fn sha256_matches_the_test_vectors_split_at_padding_and_block_boundaries() {
+        for (data, want) in sha256_vectors() {
+            for split in [55, 56, 63, 64, 65] {
+                if split <= data.len() {
+                    let (head, tail) = data.split_at(split);
+                    assert_eq!(
+                        digest_of(&[head, &[], tail]),
+                        want,
+                        "{} bytes split at {split}",
+                        data.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sha256_accepts_text_through_fmt_write() {
+        use std::fmt::Write as _;
+        let mut hasher = Sha256::new();
+        let middle = 'b';
+        write!(hasher, "a{middle}c").unwrap();
         assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
+            hex(&hasher.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Crosses the one-block boundary (padding must spill into block 2).
-        assert_eq!(
-            hex(&sha256(&[b'a'; 64])),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
         );
     }
 
@@ -582,6 +673,39 @@ mod tests {
         fs::copy(&path, root.join(format!("{other}.json"))).unwrap();
         assert!(store.get(&other).is_none(), "renamed entry must miss");
 
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_store_writes_compact_entries_and_still_hits_pretty_ones() {
+        let root = temp_root("compact");
+        let store = DirStore::new(&root);
+        let spec = demo_spec();
+        let key = spec_key(&spec);
+        let entry = CacheEntry::new(key.clone(), spec.clone(), spec.run_default().unwrap());
+        store.put(&entry);
+        let path = root.join(format!("{key}.json"));
+        let compact = fs::read_to_string(&path).unwrap();
+        assert!(
+            !compact.contains('\n'),
+            "entries are single-line: {compact}"
+        );
+        assert_eq!(compact, serde_json::to_string(&entry).unwrap());
+
+        // An entry as older builds wrote it, pretty-printed, is still a
+        // verified hit with the same outcome.
+        let pretty = serde_json::to_string_pretty(&entry).unwrap();
+        assert!(pretty.len() > compact.len());
+        fs::write(&path, &pretty).unwrap();
+        let registry = crate::registry::global();
+        let (outcome, hit) = spec
+            .run_cached(registry, &store, CachePolicy::ReadOnly)
+            .unwrap();
+        assert!(hit, "a pretty entry must be served");
+        assert_eq!(
+            serde_json::to_string(&outcome).unwrap(),
+            serde_json::to_string(&entry.outcome).unwrap()
+        );
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -12,7 +12,7 @@ use gather_core::scenario::{AlgorithmSpec, GraphSpec, LabelSpec, PlacementSpec, 
 use gather_core::GatherConfig;
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
-use gather_sim::FaultPlan;
+use gather_sim::{ByzantineStrategy, FaultPlan};
 
 #[test]
 fn the_version_tags_are_pinned() {
@@ -52,6 +52,39 @@ fn spec_key_is_pinned_across_releases() {
     assert_eq!(
         spec_key(&exotic),
         "v1e1-8ea407612061368710785dfd3881c96d7f5889b5ba042b207a090b8d3b948fcf"
+    );
+}
+
+#[test]
+fn spec_key_is_pinned_for_escaped_names_and_fault_plans() {
+    // The string escaper and nested arrays/objects are part of the hashed
+    // canonical form: pin a name needing every escape class (quote,
+    // backslash, named and \u escapes, non-ASCII) and a mixed fault plan.
+    let escaped = ScenarioSpec::new(
+        GraphSpec::new(Family::Cycle, 8),
+        PlacementSpec::new(PlacementKind::UndispersedRandom, 3),
+        AlgorithmSpec::new("q\"b\\n\nc\u{1}é→😀"),
+    )
+    .with_seed(7);
+    assert_eq!(
+        spec_key(&escaped),
+        "v1e1-18ea20bad41b5dbf241d3540998c38235b901a77fd9496498f13873e6d3d2c5e"
+    );
+
+    let faulty = ScenarioSpec::new(
+        GraphSpec::new(Family::Grid, 9),
+        PlacementSpec::new(PlacementKind::MaxSpread, 4),
+        AlgorithmSpec::new("undispersed_gathering"),
+    )
+    .with_seed(11)
+    .with_faults(
+        FaultPlan::new(42)
+            .crash(2, 5)
+            .byzantine(3, ByzantineStrategy::ReplayLast),
+    );
+    assert_eq!(
+        spec_key(&faulty),
+        "v1e1-c88c13cbd00f540f3c7aec7d191d173e1eef17b11d3555797d0b03a7b65cc962"
     );
 }
 

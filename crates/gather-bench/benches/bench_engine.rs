@@ -1,6 +1,6 @@
 //! Wall-clock benchmarks of the round engine itself (not the algorithms):
-//! message fan-out under heavy co-location, occupancy rebuilds for dispersed
-//! swarms, and the erased vs monomorphized dispatch paths.
+//! message fan-out under heavy co-location and occupancy rebuilds for
+//! dispersed swarms.
 //!
 //! `perf_report` (in `src/bin/`) runs the larger fixed matrix and records
 //! `results/BENCH_engine.json`; these benches are the quick, `cargo bench`
@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gather_core::{registry, GatherConfig};
 use gather_graph::generators;
 use gather_sim::placement::{self, PlacementKind};
-use gather_sim::{SimConfig, Simulator};
+use gather_sim::SimConfig;
 
 /// k robots on one node: every round delivers k·(k-1) messages through the
 /// arena — the inbox-delivery hot path.
@@ -48,33 +48,9 @@ fn bench_dispersed_occupancy(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same scenario through the monomorphized factory fast path and the
-/// type-erased `DynRobot` path — the gap is the cost of erasure (one `Arc`
-/// per announcement; inboxes are shared either way).
-fn bench_erased_vs_monomorphized(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_dispatch");
-    group.sample_size(10);
-    let graph = generators::cycle(64).unwrap();
-    let ids = placement::sequential_ids(16);
-    let start = placement::generate(&graph, PlacementKind::AllOnOneNode, &ids, 1);
-    let factory = registry::global().get("uxs_gathering").unwrap();
-    let cfg = GatherConfig::fast();
-    group.bench_function("monomorphized", |b| {
-        b.iter(|| factory.run(&graph, &start, &cfg, SimConfig::with_max_rounds(1_000)))
-    });
-    group.bench_function("erased", |b| {
-        b.iter(|| {
-            let robots = factory.spawn(&graph, &start, &cfg);
-            Simulator::new(&graph, SimConfig::with_max_rounds(1_000)).run(robots)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_colocated_messaging,
-    bench_dispersed_occupancy,
-    bench_erased_vs_monomorphized
+    bench_dispersed_occupancy
 );
 criterion_main!(benches);

@@ -24,7 +24,7 @@
 //! Scenarios are chosen to stress the engine itself, not the algorithms:
 //! large `k` with heavy co-location (message fan-out is `O(k²)` per round),
 //! large dispersed swarms (occupancy rebuilds), and a mid-size composed
-//! `faster_gathering` run (erasure-free monomorphized dispatch).
+//! `faster_gathering` run (deep per-robot state machines).
 
 use gather_bench::{quick_mode, results_dir};
 use gather_core::artifact::ArtifactStats;
@@ -160,7 +160,7 @@ fn stress_matrix(quick: bool) -> Vec<Stress> {
         });
     }
     // The composed algorithm mid-schedule on a grid: deep per-robot state
-    // machines behind the monomorphized dispatch path.
+    // machines on the engine's typed robot path.
     {
         let graph = generators::grid(8, 8 / scale as usize).unwrap();
         let k = 32 / scale as usize;

@@ -54,7 +54,7 @@ impl Robot for BrokenEager {
 mod tests {
     use super::*;
     use gather_graph::generators;
-    use gather_sim::{transition, Activation, SimState};
+    use gather_sim::{transition, Activation, SimState, StepBuffers};
 
     #[test]
     fn terminates_wrongly_when_paired_but_not_gathered() {
@@ -67,7 +67,8 @@ mod tests {
                 (BrokenEager::new(3), 3),
             ],
         );
-        let s1 = transition(&g, &s0, Activation::All);
+        let mut bufs = StepBuffers::new(g.n(), &s0);
+        let s1 = transition(&g, &s0, Activation::All, None, &mut bufs);
         assert_eq!(s1.terminated, vec![true, true, false]);
         assert!(!s1.gathered());
     }

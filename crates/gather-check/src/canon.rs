@@ -10,11 +10,9 @@
 //! The digest hashes the robots through their `Hash` impls, which are
 //! `#[derive(Hash)]` on every builtin's state structs — the compiler
 //! enumerates every field, so adding robot state cannot silently fall out of
-//! the digest. The two deliberate exclusions are shared immutable data that
-//! is a pure function of already-hashed fields (the UXS offset table, hashed
-//! as `(n, policy)`; see `gather_uxs::Uxs`'s `Hash` impl) — and the erased
-//! `DynRobot` path, which has no digest at all and is statically excluded
-//! from checking (see `gather_sim::robot::DynRobot`).
+//! the digest. The one deliberate exclusion is shared immutable data that is
+//! a pure function of already-hashed fields (the UXS offset table, hashed as
+//! `(n, policy)`; see `gather_uxs::Uxs`'s `Hash` impl).
 
 use gather_sim::SimState;
 use std::hash::{Hash, Hasher};

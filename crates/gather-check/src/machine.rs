@@ -3,7 +3,7 @@
 //! Mirrors the shape of polestar's `Machine`: a value with an initial state,
 //! an action enumeration and a pure `transition`. The gathering instantiation
 //! ([`GatherMachine`]) wraps the engine's pure step function
-//! ([`gather_sim::transition_with`]) and a [`Scheduler`] that enumerates the
+//! ([`gather_sim::transition`]) and a [`Scheduler`] that enumerates the
 //! legal activations per round.
 
 use crate::canon::CanonState;
@@ -173,10 +173,7 @@ impl<R: Robot + Clone + Hash> Machine for GatherMachine<'_, R> {
 
     fn transition(&self, state: &SimState<R>, action: Activation) -> SimState<R> {
         let bufs = &mut self.bufs.borrow_mut();
-        match &self.faults {
-            None => gather_sim::transition_with(self.graph, state, action, bufs),
-            Some(f) => gather_sim::transition_faulty_with(self.graph, state, action, f, bufs),
-        }
+        gather_sim::transition(self.graph, state, action, self.faults.as_ref(), bufs)
     }
 }
 

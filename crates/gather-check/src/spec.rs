@@ -6,10 +6,12 @@
 //! interleavings to exhaust, and optional overrides for the liveness bound
 //! and the state cap. [`run_check`] builds the instance — reusing the
 //! scenario seed-derivation so a check and a simulation of the same spec
-//! fields see the *same* graph and placement — explores every reachable
-//! state, and returns a [`CheckReport`] with a [`Counterexample`] on
-//! failure.
+//! fields see the *same* graph and placement, and constructing the robots
+//! through the same [`Algorithm::with_robots`] the simulator's registry
+//! uses — explores every reachable state, and returns a [`CheckReport`] with
+//! a [`Counterexample`] on failure.
 
+use crate::broken::BrokenEager;
 use crate::machine::GatherMachine;
 use crate::predicates::{PredicateCtx, Violation};
 use crate::trace::Counterexample;
@@ -18,22 +20,20 @@ use gather_core::schedule::{
     faster_step_start, hop_meeting_rounds, undispersed_total_rounds, uxs_gathering_round_bound,
 };
 use gather_core::{
-    AlgorithmSpec, ExpandingRobot, FasterRobot, GatherConfig, GraphSpec, PlacementSpec,
-    ScenarioError, ScenarioSpec, UndispersedRobot, UxsGatherRobot,
+    Algorithm, AlgorithmSpec, GatherConfig, GraphSpec, PlacementSpec, RobotVisitor, ScenarioError,
+    ScenarioSpec,
 };
 use gather_graph::{GraphError, NodeId, PortGraph};
 use gather_sim::robot::Robot;
-use gather_sim::{Activation, EngineFaults, FaultError, FaultPlan, Scheduler};
-use gather_uxs::Uxs;
+use gather_sim::{Activation, EngineFaults, FaultError, FaultPlan, Placement, Scheduler};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hash;
 
-/// The name under which the deliberately unsound
-/// [`BrokenEager`](crate::broken::BrokenEager) robot is
-/// dispatched. Not part of the simulator's algorithm registry: it exists
-/// only so checker failures (and their artifacts) can be exercised end to
-/// end.
+/// The name under which the deliberately unsound [`BrokenEager`] robot is
+/// dispatched. Not part of the simulator's algorithm registry (no
+/// [`Algorithm`] variant has this name): it exists only so checker failures
+/// (and their artifacts) can be exercised end to end.
 pub const BROKEN_EAGER: &str = "broken_eager";
 
 /// One model-checking instance, as a serializable value.
@@ -61,7 +61,7 @@ pub struct CheckSpec {
     pub max_states: Option<u64>,
     /// Faults to inject while checking (missing field: fault-free). Only
     /// *crash* plans are checkable — Byzantine strategies make the engine
-    /// step impure (see [`gather_sim::transition_faulty`]) and are rejected
+    /// step impure (see [`gather_sim::transition`]) and are rejected
     /// with [`CheckError::Byzantine`]. Under crash faults the terminal and
     /// liveness predicates are scoped to the survivors; the no-early-
     /// termination safety predicate stays global, so a builtin whose
@@ -203,18 +203,20 @@ pub enum CheckError {
     Faults(FaultError),
     /// The fault plan contains a Byzantine fault, which the checker cannot
     /// soundly explore (the step stops being pure; see
-    /// [`gather_sim::transition_faulty`]).
+    /// [`gather_sim::transition`]).
     Byzantine,
 }
 
 impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckError::UnknownAlgorithm(name) => write!(
-                f,
-                "unknown algorithm `{name}` (checkable: faster_gathering, uxs_gathering, \
-                 undispersed_gathering, expanding_baseline, {BROKEN_EAGER})"
-            ),
+            CheckError::UnknownAlgorithm(name) => {
+                write!(f, "unknown algorithm `{name}` (checkable: ")?;
+                for algorithm in Algorithm::ALL {
+                    write!(f, "{}, ", algorithm.name())?;
+                }
+                write!(f, "{BROKEN_EAGER})")
+            }
             CheckError::Graph(e) => write!(f, "graph instantiation failed: {e}"),
             CheckError::Scenario(e) => write!(f, "placement failed: {e}"),
             CheckError::Faults(e) => write!(f, "invalid fault plan: {e}"),
@@ -258,14 +260,15 @@ pub fn suggested_round_bound(algorithm: &str, n: usize, config: &GatherConfig) -
         let t = config.uxs_policy.length(n) as u64;
         uxs_gathering_round_bound(n, t)
     };
-    match algorithm {
-        "uxs_gathering" => Some(uxs_bound(n) + 2),
-        "undispersed_gathering" => Some(undispersed_total_rounds(n, config) + 2),
-        "faster_gathering" => {
-            // Worst case: the UXS fallback (step 7) runs to its own bound.
-            Some(faster_step_start(7, n, config) + uxs_bound(n) + 2)
-        }
-        "expanding_baseline" => {
+    if algorithm == BROKEN_EAGER {
+        return Some(16 * n as u64 + 16);
+    }
+    Some(match Algorithm::from_name(algorithm)? {
+        Algorithm::UxsOnly => uxs_bound(n) + 2,
+        Algorithm::Undispersed => undispersed_total_rounds(n, config) + 2,
+        // Worst case: the UXS fallback (step 7) runs to its own bound.
+        Algorithm::Faster => faster_step_start(7, n, config) + uxs_bound(n) + 2,
+        Algorithm::ExpandingBaseline => {
             // The radius caps at n-1 >= eccentricity, so the phase at that
             // radius must meet; each phase is followed by one check round.
             let mut total = 0u64;
@@ -274,75 +277,35 @@ pub fn suggested_round_bound(algorithm: &str, n: usize, config: &GatherConfig) -
                     .saturating_add(hop_meeting_rounds(i, n))
                     .saturating_add(1);
             }
-            Some(total + 2)
+            total + 2
         }
-        BROKEN_EAGER => Some(16 * n as u64 + 16),
-        _ => None,
-    }
+    })
 }
 
-/// Dispatches an algorithm name to its concrete (monomorphic) robot type:
-/// builds the robot vector from a `Placement` exactly as the simulator's
-/// registry does, binds it to `$robots`, and evaluates `$body` with it.
-///
-/// Checking must run monomorphized — the state digest needs `R: Hash`, which
-/// the erased `DynRobot` path deliberately lacks — so every caller that
-/// executes an instance (checking, replay) goes through this one table.
-/// Unknown names early-return [`CheckError::UnknownAlgorithm`], adapted into
-/// the caller's error type via `Into`.
-macro_rules! dispatch_robots {
-    ($name:expr, $graph:expr, $placement:expr, $config:expr, |$robots:ident| $body:expr) => {{
-        let n = $graph.n();
-        let config: &GatherConfig = $config;
-        match $name {
-            "faster_gathering" => {
-                let $robots: Vec<(FasterRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (FasterRobot::new(id, n, config), node))
-                    .collect();
-                $body
-            }
-            "uxs_gathering" => {
-                let uxs = Uxs::shared_for_n(n, config.uxs_policy);
-                let $robots: Vec<(UxsGatherRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (UxsGatherRobot::with_sequence(id, uxs.clone()), node))
-                    .collect();
-                $body
-            }
-            "undispersed_gathering" => {
-                let $robots: Vec<(UndispersedRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (UndispersedRobot::new(id, n, config), node))
-                    .collect();
-                $body
-            }
-            "expanding_baseline" => {
-                let $robots: Vec<(ExpandingRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (ExpandingRobot::new(id, n), node))
-                    .collect();
-                $body
-            }
-            $crate::spec::BROKEN_EAGER => {
-                let $robots: Vec<($crate::broken::BrokenEager, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| ($crate::broken::BrokenEager::new(id), node))
-                    .collect();
-                $body
-            }
-            other => {
-                return Err($crate::spec::CheckError::UnknownAlgorithm(other.to_string()).into())
-            }
-        }
-    }};
+/// Builds the robots of the checkable algorithm `name` — a built-in via
+/// [`Algorithm::with_robots`], or [`BROKEN_EAGER`] — and hands them to
+/// `visitor`. Checking runs on the concrete robot types because the state
+/// digest needs `R: Hash`; every caller that executes an instance (checking,
+/// replay) goes through here.
+pub(crate) fn with_check_robots<V: RobotVisitor>(
+    name: &str,
+    graph: &PortGraph,
+    placement: &Placement,
+    config: &GatherConfig,
+    visitor: V,
+) -> Result<V::Output, CheckError> {
+    if name == BROKEN_EAGER {
+        let robots = placement
+            .robots
+            .iter()
+            .map(|&(id, node)| (BrokenEager::new(id), node))
+            .collect();
+        return Ok(visitor.visit(robots));
+    }
+    let algorithm =
+        Algorithm::from_name(name).ok_or_else(|| CheckError::UnknownAlgorithm(name.to_string()))?;
+    Ok(algorithm.with_robots(graph, placement, config, visitor))
 }
-pub(crate) use dispatch_robots;
 
 /// Exhaustively checks one instance.
 ///
@@ -359,21 +322,14 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CheckError> {
         None => suggested_round_bound(&spec.algorithm.name, graph.n(), config)
             .ok_or_else(|| CheckError::UnknownAlgorithm(spec.algorithm.name.clone()))?,
     };
-    let limits = spec.limits();
-    let outcome = dispatch_robots!(
-        spec.algorithm.name.as_str(),
-        graph,
-        placement,
-        config,
-        |robots| check_generic(
-            &graph,
-            robots,
-            spec.scheduler,
-            bound,
-            limits,
-            faults.as_ref()
-        )
-    );
+    let exhaust = Exhaust {
+        graph: &graph,
+        scheduler: spec.scheduler,
+        bound,
+        limits: spec.limits(),
+        faults: faults.as_ref(),
+    };
+    let outcome = with_check_robots(&spec.algorithm.name, &graph, &placement, config, exhaust)?;
     Ok(report_from(spec, bound, outcome))
 }
 
@@ -392,25 +348,30 @@ pub(crate) fn resolve_check_faults(
     Ok(Some(plan.resolve(ids)?))
 }
 
-/// Builds the machine for one concrete robot type and exhausts it.
-fn check_generic<R: Robot + Clone + Hash>(
-    graph: &PortGraph,
-    robots: Vec<(R, NodeId)>,
+/// Builds the machine for the visited robots and exhausts it.
+struct Exhaust<'a> {
+    graph: &'a PortGraph,
     scheduler: Scheduler,
     bound: u64,
     limits: TraverseLimits,
-    faults: Option<&EngineFaults>,
-) -> TraverseOutcome<Activation, Violation> {
-    let machine = match faults {
-        None => GatherMachine::new(graph, robots, scheduler),
-        Some(f) => GatherMachine::with_faults(graph, robots, scheduler, f.clone()),
-    };
-    let initial = crate::machine::Machine::initial(&machine);
-    let mut ctx = PredicateCtx::new(graph, &initial.positions, bound);
-    if let Some(f) = faults {
-        ctx = ctx.with_crash_faults(f);
+    faults: Option<&'a EngineFaults>,
+}
+
+impl RobotVisitor for Exhaust<'_> {
+    type Output = TraverseOutcome<Activation, Violation>;
+
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> Self::Output {
+        let machine = match self.faults {
+            None => GatherMachine::new(self.graph, robots, self.scheduler),
+            Some(f) => GatherMachine::with_faults(self.graph, robots, self.scheduler, f.clone()),
+        };
+        let initial = crate::machine::Machine::initial(&machine);
+        let mut ctx = PredicateCtx::new(self.graph, &initial.positions, self.bound);
+        if let Some(f) = self.faults {
+            ctx = ctx.with_crash_faults(f);
+        }
+        traverse(&machine, self.limits, |s| ctx.classify(s))
     }
-    traverse(&machine, limits, |s| ctx.classify(s))
 }
 
 fn report_from(

@@ -10,15 +10,12 @@
 //! violation from them.
 
 use crate::predicates::{PredicateCtx, Violation};
-use crate::spec::{dispatch_robots, CheckError, CheckSpec};
+use crate::spec::{with_check_robots, CheckError, CheckSpec};
 use crate::traverse::StateClass;
-use gather_core::{ExpandingRobot, FasterRobot, GatherConfig, UndispersedRobot, UxsGatherRobot};
+use gather_core::RobotVisitor;
 use gather_graph::{NodeId, PortGraph};
 use gather_sim::robot::Robot;
-use gather_sim::{
-    transition_faulty_with, transition_with, Activation, EngineFaults, SimState, StepBuffers,
-};
-use gather_uxs::Uxs;
+use gather_sim::{transition, Activation, EngineFaults, SimState, StepBuffers};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hash;
@@ -104,19 +101,19 @@ impl Counterexample {
             .map_err(CheckError::from)?;
         let config = &self.spec.algorithm.config;
         let faults = crate::spec::resolve_check_faults(&self.spec.faults, &placement.ids())?;
-        dispatch_robots!(
-            self.spec.algorithm.name.as_str(),
-            graph,
-            placement,
+        let replay = Replay {
+            graph: &graph,
+            activations: &self.activations,
+            bound: self.round_bound,
+            faults: faults.as_ref(),
+        };
+        with_check_robots(
+            &self.spec.algorithm.name,
+            &graph,
+            &placement,
             config,
-            |robots| replay_generic(
-                &graph,
-                robots,
-                &self.activations,
-                self.round_bound,
-                faults.as_ref()
-            )
-        )
+            replay,
+        )?
     }
 
     /// Replays and checks that the observed violation matches the recorded
@@ -134,32 +131,35 @@ impl Counterexample {
     }
 }
 
-fn replay_generic<R: Robot + Clone + Hash>(
-    graph: &PortGraph,
-    robots: Vec<(R, NodeId)>,
-    activations: &[Activation],
+/// Re-executes an activation sequence over the visited robots.
+struct Replay<'a> {
+    graph: &'a PortGraph,
+    activations: &'a [Activation],
     bound: u64,
-    faults: Option<&EngineFaults>,
-) -> Result<Violation, ReplayError> {
-    let mut state = SimState::new(graph, robots);
-    let mut bufs = StepBuffers::new(graph.n(), &state);
-    let mut ctx = PredicateCtx::new(graph, &state.positions, bound);
-    if let Some(f) = faults {
-        ctx = ctx.with_crash_faults(f);
-    }
-    if let StateClass::Violation(v) = ctx.classify(&state) {
-        return Ok(v);
-    }
-    for &activation in activations {
-        state = match faults {
-            None => transition_with(graph, &state, activation, &mut bufs),
-            Some(f) => transition_faulty_with(graph, &state, activation, f, &mut bufs),
-        };
+    faults: Option<&'a EngineFaults>,
+}
+
+impl RobotVisitor for Replay<'_> {
+    type Output = Result<Violation, ReplayError>;
+
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> Self::Output {
+        let mut state = SimState::new(self.graph, robots);
+        let mut bufs = StepBuffers::new(self.graph.n(), &state);
+        let mut ctx = PredicateCtx::new(self.graph, &state.positions, self.bound);
+        if let Some(f) = self.faults {
+            ctx = ctx.with_crash_faults(f);
+        }
         if let StateClass::Violation(v) = ctx.classify(&state) {
             return Ok(v);
         }
+        for &activation in self.activations {
+            state = transition(self.graph, &state, activation, self.faults, &mut bufs);
+            if let StateClass::Violation(v) = ctx.classify(&state) {
+                return Ok(v);
+            }
+        }
+        Err(ReplayError::NoViolation)
     }
-    Err(ReplayError::NoViolation)
 }
 
 #[cfg(test)]

@@ -2,15 +2,24 @@
 //!
 //! Experiments are described as serializable [`crate::scenario::ScenarioSpec`]
 //! values (or whole grids as a [`crate::sweep::Sweep`]) and executed through
-//! an [`crate::registry::AlgorithmRegistry`]. The [`Algorithm`] enum is the
-//! one surviving piece of the seed's original closed API: a convenient,
+//! an [`crate::registry::AlgorithmRegistry`]. The [`Algorithm`] enum is a
 //! `match`-able handle whose `name()` values are exactly the registry keys of
-//! the four built-ins. The seed's `run_algorithm`/`RunSpec` shims were
-//! deleted once the last experiment binaries moved onto scenarios and sweeps;
-//! call `registry::global().run(...)` directly for the rare case that needs
-//! an explicit, non-declarative placement.
+//! the four built-ins, and it is the one place their robots are constructed:
+//! [`Algorithm::with_robots`] builds the concrete robot vector for a placement
+//! and hands it to a [`RobotVisitor`]. The registry's built-in factories
+//! visit with the simulator; the model checker visits with its exhaustive
+//! traversal and its counterexample replay.
 
+use crate::baseline::ExpandingRobot;
+use crate::config::GatherConfig;
+use crate::faster::FasterRobot;
+use crate::undispersed::UndispersedRobot;
+use crate::uxs_gathering::UxsGatherRobot;
+use gather_graph::{NodeId, PortGraph};
+use gather_sim::{Placement, Robot, RobotId};
+use gather_uxs::Uxs;
 use serde::{Deserialize, Serialize};
+use std::hash::Hash;
 
 /// The four built-in paper algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,6 +32,21 @@ pub enum Algorithm {
     Undispersed,
     /// Dessmark-style expanding-radius rendezvous baseline (two robots).
     ExpandingBaseline,
+}
+
+/// Receives the concrete robot vector [`Algorithm::with_robots`] builds.
+///
+/// The robot type differs per algorithm, so the consumer is a visitor with
+/// one generic method rather than a closure. The simulator needs only
+/// [`Robot`]; the model checker also needs `Clone` and `Hash` (states are
+/// copied and digested); `Send` lets a visitor hand the robots to another
+/// thread.
+pub trait RobotVisitor {
+    /// What visiting produces.
+    type Output;
+
+    /// Consumes the robots, each paired with its start node.
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> Self::Output;
 }
 
 impl Algorithm {
@@ -44,6 +68,53 @@ impl Algorithm {
             Algorithm::ExpandingBaseline => "expanding_baseline",
         }
     }
+
+    /// The built-in algorithm named `name`, if any (the inverse of
+    /// [`Algorithm::name`]).
+    pub fn from_name(name: &str) -> Option<Algorithm> {
+        Algorithm::ALL.into_iter().find(|a| a.name() == name)
+    }
+
+    /// Builds this algorithm's robots for `placement` on `graph` — one per
+    /// placement entry, paired with its start node — and hands them to
+    /// `visitor`.
+    pub fn with_robots<V: RobotVisitor>(
+        self,
+        graph: &PortGraph,
+        placement: &Placement,
+        config: &GatherConfig,
+        visitor: V,
+    ) -> V::Output {
+        let n = graph.n();
+        match self {
+            Algorithm::Faster => {
+                visitor.visit(place(placement, |id| FasterRobot::new(id, n, config)))
+            }
+            Algorithm::UxsOnly => {
+                // One memoized sequence for the whole run: the per-robot
+                // `clone` is an `Arc` bump on the shared offsets, not a copy.
+                let uxs = Uxs::shared_for_n(n, config.uxs_policy);
+                visitor.visit(place(placement, |id| {
+                    UxsGatherRobot::with_sequence(id, uxs.clone())
+                }))
+            }
+            Algorithm::Undispersed => {
+                visitor.visit(place(placement, |id| UndispersedRobot::new(id, n, config)))
+            }
+            Algorithm::ExpandingBaseline => {
+                visitor.visit(place(placement, |id| ExpandingRobot::new(id, n)))
+            }
+        }
+    }
+}
+
+/// One robot per placement entry, built from its label, at its start node.
+fn place<R>(placement: &Placement, mut robot: impl FnMut(RobotId) -> R) -> Vec<(R, NodeId)> {
+    placement
+        .robots
+        .iter()
+        .map(|&(id, node)| (robot(id), node))
+        .collect()
 }
 
 #[cfg(test)]
@@ -66,7 +137,12 @@ mod tests {
                 "{} not registered",
                 alg.name()
             );
+            assert_eq!(Algorithm::from_name(alg.name()), Some(alg));
         }
+        assert_eq!(Algorithm::from_name("no_such_algorithm"), None);
+        // The checker-only robot must never resolve to a built-in (and so
+        // can never reach the registry).
+        assert_eq!(Algorithm::from_name("broken_eager"), None);
     }
 
     #[test]

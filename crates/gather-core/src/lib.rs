@@ -26,13 +26,17 @@
 //! ## The scenario-first public API
 //!
 //! Experiments are *sweeps* over graph families × placements × algorithms,
-//! so the public API is built around three pieces:
+//! so the public API is built around these pieces:
 //!
 //! * [`scenario`] — a fully serde-serializable [`scenario::ScenarioSpec`]
 //!   describing one run as a JSON-roundtrippable value;
+//! * [`api`] — the [`api::Algorithm`] handle for the four paper algorithms,
+//!   whose [`api::Algorithm::with_robots`] is the one constructor of their
+//!   robots (shared by the registry and the model checker);
 //! * [`registry`] — an open [`registry::AlgorithmRegistry`] of named
-//!   [`registry::AlgorithmFactory`] implementations (the four paper
-//!   algorithms are pre-registered; downstream crates add their own);
+//!   [`registry::AlgorithmFactory`] implementations, each a typed `run`
+//!   (the four paper algorithms are pre-registered; downstream crates add
+//!   their own);
 //! * [`sweep`] — a [`sweep::Sweep`] builder expanding cartesian grids of
 //!   scenarios and executing them over the parallel runner, returning
 //!   structured [`sweep::SweepReport`] rows;
@@ -42,10 +46,6 @@
 //! * [`artifact`] — a shared instance cache: built graphs and placements
 //!   are pure functions of their specs and seeds, so sweep cells that share
 //!   instances construct each one exactly once instead of once per cell.
-//!
-//! The seed's `run_algorithm`/`RunSpec` shims were removed once the last
-//! experiment binaries moved onto scenarios and sweeps; [`api::Algorithm`]
-//! survives as the exhaustively-matchable handle for the four built-ins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +68,7 @@ pub mod sweep;
 pub mod undispersed;
 pub mod uxs_gathering;
 
-pub use api::Algorithm;
+pub use api::{Algorithm, RobotVisitor};
 pub use artifact::{ArtifactCache, ArtifactStats};
 pub use baseline::ExpandingRobot;
 pub use cache::{

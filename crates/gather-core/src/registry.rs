@@ -1,11 +1,12 @@
 //! An open registry of gathering algorithms.
 //!
-//! The seed API dispatched on a closed `enum Algorithm` match, so adding an
-//! algorithm meant editing `gather-core`. The registry inverts that: an
-//! algorithm is anything implementing [`AlgorithmFactory`] — a named
-//! constructor producing type-erased [`DynRobot`] runners — and downstream
-//! crates register their own factories next to the four built-in paper
-//! algorithms without touching this crate.
+//! An algorithm is anything implementing [`AlgorithmFactory`] — a named,
+//! typed `run` that builds its robots and hands them to the simulator — and
+//! downstream crates register their own factories next to the four built-in
+//! paper algorithms without touching this crate. The built-ins are the
+//! [`Algorithm`] variants themselves: each one's factory is
+//! [`Algorithm::with_robots`] visited with the simulator, the same
+//! constructor the model checker uses.
 //!
 //! Factories are looked up by the same stable names that result tables use
 //! (`"faster_gathering"`, `"uxs_gathering"`, `"undispersed_gathering"`,
@@ -13,60 +14,36 @@
 //! [`crate::scenario::ScenarioSpec`] select its algorithm with no further
 //! Rust code.
 
-use crate::baseline::ExpandingRobot;
+use crate::api::{Algorithm, RobotVisitor};
 use crate::config::GatherConfig;
-use crate::faster::FasterRobot;
-use crate::undispersed::UndispersedRobot;
-use crate::uxs_gathering::UxsGatherRobot;
 use gather_graph::{NodeId, PortGraph};
-use gather_sim::{placement::Placement, DynRobot, SimConfig, SimOutcome, Simulator};
-use gather_uxs::Uxs;
+use gather_sim::{placement::Placement, Robot, SimConfig, SimOutcome, Simulator};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
-/// A named constructor for one gathering algorithm.
+/// A named gathering algorithm: builds its robots for one placement and
+/// simulates them.
 ///
-/// `spawn` receives the full placement (labels and start nodes) plus the
-/// shared [`GatherConfig`] and returns one erased robot per placement entry,
-/// paired with its start node. Factories must be stateless or internally
-/// synchronised: sweeps call them concurrently from worker threads.
+/// `run` receives the full placement (labels and start nodes), the shared
+/// [`GatherConfig`] and the simulation config, and typically builds one
+/// concrete robot per placement entry and calls [`Simulator::run`] on them.
+/// Factories must be stateless or internally synchronised: sweeps call them
+/// concurrently from worker threads.
 pub trait AlgorithmFactory: Send + Sync {
     /// Short stable name used for lookup and in result tables
     /// (e.g. `"faster_gathering"`).
     fn name(&self) -> &'static str;
 
-    /// One-line human description for listings.
-    fn description(&self) -> &'static str {
-        ""
-    }
-
-    /// Builds the robots for one run.
-    fn spawn(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)>;
-
     /// Runs one simulation with this factory's robots.
-    ///
-    /// The default erases robots through [`spawn`](AlgorithmFactory::spawn),
-    /// which costs an `Arc` allocation per announce and a typed re-collect
-    /// per decide on the per-robot per-round hot loop. Factories whose robot
-    /// type is known statically (all four built-ins) override this to hand
-    /// the simulator a monomorphized robot vector instead — same results,
-    /// no erasure overhead on million-round sweeps.
     fn run(
         &self,
         graph: &PortGraph,
         placement: &Placement,
         config: &GatherConfig,
         sim_config: SimConfig,
-    ) -> SimOutcome {
-        let robots = self.spawn(graph, placement, config);
-        Simulator::new(graph, sim_config).run(robots)
-    }
+    ) -> SimOutcome;
 }
 
 /// Error returned by registry lookups and runs.
@@ -113,10 +90,9 @@ impl AlgorithmRegistry {
     /// A registry pre-populated with the four paper algorithms.
     pub fn with_builtins() -> Self {
         let mut r = AlgorithmRegistry::empty();
-        r.register(Arc::new(FasterFactory));
-        r.register(Arc::new(UxsFactory));
-        r.register(Arc::new(UndispersedFactory));
-        r.register(Arc::new(ExpandingFactory));
+        for algorithm in Algorithm::ALL {
+            r.register(Arc::new(algorithm));
+        }
         r
     }
 
@@ -188,39 +164,11 @@ pub fn global() -> &'static AlgorithmRegistry {
     GLOBAL.get_or_init(AlgorithmRegistry::with_builtins)
 }
 
-// ---------------------------------------------------------------------------
-// Built-in factories.
-// ---------------------------------------------------------------------------
-
-/// `Faster-Gathering` (§2.3) — the paper's main contribution.
-pub struct FasterFactory;
-
-impl AlgorithmFactory for FasterFactory {
+/// Each built-in is its own factory: [`Algorithm::with_robots`] visited by
+/// the simulator.
+impl AlgorithmFactory for Algorithm {
     fn name(&self) -> &'static str {
-        "faster_gathering"
-    }
-
-    fn description(&self) -> &'static str {
-        "Faster-Gathering (§2.3): the composed algorithm of Theorems 12/16"
-    }
-
-    fn spawn(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        let n = graph.n();
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(FasterRobot::new(id, n, config)) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
+        Algorithm::name(self)
     }
 
     fn run(
@@ -230,160 +178,17 @@ impl AlgorithmFactory for FasterFactory {
         config: &GatherConfig,
         sim_config: SimConfig,
     ) -> SimOutcome {
-        let n = graph.n();
-        let robots: Vec<(FasterRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (FasterRobot::new(id, n, config), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
+        let simulator = Simulator::new(graph, sim_config);
+        self.with_robots(graph, placement, config, simulator)
     }
 }
 
-/// The UXS-based algorithm of §2.1, doubling as the Õ(n⁵ log ℓ) baseline.
-pub struct UxsFactory;
+/// The simulator visits robots by running them to completion.
+impl RobotVisitor for Simulator<'_> {
+    type Output = SimOutcome;
 
-impl AlgorithmFactory for UxsFactory {
-    fn name(&self) -> &'static str {
-        "uxs_gathering"
-    }
-
-    fn description(&self) -> &'static str {
-        "UXS gathering (§2.1): works for any k; the paper's baseline"
-    }
-
-    fn spawn(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        // One memoized sequence for the whole run: the per-robot `clone` is
-        // an `Arc` bump on the shared offsets, not a copy (and repeated runs
-        // at the same `n` skip the construction entirely).
-        let uxs = Uxs::shared_for_n(graph.n(), config.uxs_policy);
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(UxsGatherRobot::with_sequence(id, uxs.clone())) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let uxs = Uxs::shared_for_n(graph.n(), config.uxs_policy);
-        let robots: Vec<(UxsGatherRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (UxsGatherRobot::with_sequence(id, uxs.clone()), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
-    }
-}
-
-/// `Undispersed-Gathering` (§2.2); requires an undispersed start.
-pub struct UndispersedFactory;
-
-impl AlgorithmFactory for UndispersedFactory {
-    fn name(&self) -> &'static str {
-        "undispersed_gathering"
-    }
-
-    fn description(&self) -> &'static str {
-        "Undispersed-Gathering (§2.2): O(n³) rounds from an undispersed start"
-    }
-
-    fn spawn(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        let n = graph.n();
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(UndispersedRobot::new(id, n, config)) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let n = graph.n();
-        let robots: Vec<(UndispersedRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (UndispersedRobot::new(id, n, config), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
-    }
-}
-
-/// Dessmark-style expanding-radius rendezvous baseline (two robots).
-pub struct ExpandingFactory;
-
-impl AlgorithmFactory for ExpandingFactory {
-    fn name(&self) -> &'static str {
-        "expanding_baseline"
-    }
-
-    fn description(&self) -> &'static str {
-        "Dessmark-style expanding-radius rendezvous baseline (two robots)"
-    }
-
-    fn spawn(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        _config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        let n = graph.n();
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(ExpandingRobot::new(id, n)) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        _config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let n = graph.n();
-        let robots: Vec<(ExpandingRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (ExpandingRobot::new(id, n), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> SimOutcome {
+        self.run(robots)
     }
 }
 
@@ -423,29 +228,6 @@ mod tests {
             )
             .unwrap();
         assert!(out.is_correct_gathering_with_detection());
-    }
-
-    #[test]
-    fn monomorphized_run_overrides_agree_with_the_erased_default() {
-        // The built-ins override `run` to skip DynRobot erasure on the hot
-        // loop; the erased default (via spawn) must produce identical
-        // outcomes or the override has drifted.
-        let g = generators::random_connected(8, 0.3, 2).unwrap();
-        let ids = placement::sequential_ids(3);
-        let start = placement::generate(&g, PlacementKind::UndispersedRandom, &ids, 4);
-        let cfg = GatherConfig::fast();
-        let sim = SimConfig::with_max_rounds(2_000_000_000);
-        for name in ["faster_gathering", "uxs_gathering", "undispersed_gathering"] {
-            let factory = global().get(name).unwrap();
-            let fast_path = factory.run(&g, &start, &cfg, sim.clone());
-            let erased = Simulator::new(&g, sim.clone()).run(factory.spawn(&g, &start, &cfg));
-            assert_eq!(fast_path.rounds, erased.rounds, "{name}");
-            assert_eq!(fast_path.final_positions, erased.final_positions, "{name}");
-            assert_eq!(
-                fast_path.metrics.total_moves, erased.metrics.total_moves,
-                "{name}"
-            );
-        }
     }
 
     #[test]
@@ -504,22 +286,19 @@ mod tests {
             "naive_walk"
         }
 
-        fn spawn(
+        fn run(
             &self,
-            _graph: &PortGraph,
+            graph: &PortGraph,
             placement: &Placement,
             _config: &GatherConfig,
-        ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-            placement
+            sim_config: SimConfig,
+        ) -> SimOutcome {
+            let robots: Vec<(NaiveRobot, NodeId)> = placement
                 .robots
                 .iter()
-                .map(|&(id, node)| {
-                    (
-                        Box::new(NaiveRobot { id, done: false }) as Box<dyn DynRobot>,
-                        node,
-                    )
-                })
-                .collect()
+                .map(|&(id, node)| (NaiveRobot { id, done: false }, node))
+                .collect();
+            Simulator::new(graph, sim_config).run(robots)
         }
     }
 

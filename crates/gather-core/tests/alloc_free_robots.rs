@@ -1,5 +1,5 @@
 //! Proves the *robot decide path* is allocation-free in steady state for all
-//! four built-in algorithms, on both dispatch paths.
+//! four built-in algorithms.
 //!
 //! `gather-sim/tests/alloc_free.rs` pins the engine/message side with
 //! inert robots; this test closes the loop on the algorithm side (it lives
@@ -23,10 +23,6 @@
 //!   and the embedded UXS segment, entered directly via
 //!   [`FasterRobot::with_known_distance`];
 //! * `expanding_baseline` — its radius-1 hop-meeting phase.
-//!
-//! Both dispatch paths are pinned: the monomorphized path (concrete robot
-//! vectors, as the registry's `run` overrides use) and the type-erased
-//! `DynRobot` path (recycled `DynMsg` payload slots).
 
 // A counting `GlobalAlloc` is necessarily `unsafe`; the workspace denies
 // `unsafe_code`, so this test opts back in explicitly.
@@ -38,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gather_core::schedule::{hop_meeting_rounds, undispersed_phase1_rounds};
 use gather_core::{ExpandingRobot, FasterRobot, GatherConfig, UndispersedRobot, UxsGatherRobot};
 use gather_graph::generators;
-use gather_sim::{DynRobot, Robot, SimConfig, Simulator};
+use gather_sim::{Robot, SimConfig, Simulator};
 
 struct CountingAllocator;
 
@@ -91,11 +87,10 @@ fn min_allocs(mut measure: impl FnMut() -> u64) -> u64 {
 }
 
 /// Asserts the rounds in `(lo, hi]` allocate nothing, for one robot builder
-/// on one graph, on both dispatch paths.
+/// on one graph.
 fn check_case<R, F>(name: &str, graph: &gather_graph::PortGraph, mk: F, lo: u64, hi: u64)
 where
-    R: Robot + Send + 'static,
-    R::Msg: Send + Sync,
+    R: Robot,
     F: Fn() -> Vec<(R, usize)>,
 {
     // Warm up process-wide memoized state (shared UXS sequences, shared
@@ -106,27 +101,12 @@ where
     let long = min_allocs(|| alloc_delta(graph, mk(), hi));
     assert_eq!(
         short, long,
-        "{name} (typed): allocation count grows with round count — the robot \
+        "{name}: allocation count grows with round count — the robot \
          decide path allocates in steady state ({short} vs {long})"
     );
     assert!(
         short > 0,
         "{name}: sanity — setup allocations should be visible"
-    );
-
-    let erase = |robots: Vec<(R, usize)>| -> Vec<(Box<dyn DynRobot>, usize)> {
-        robots
-            .into_iter()
-            .map(|(r, start)| (Box::new(r) as Box<dyn DynRobot>, start))
-            .collect()
-    };
-    let _ = alloc_delta(graph, erase(mk()), lo);
-    let short = min_allocs(|| alloc_delta(graph, erase(mk()), lo));
-    let long = min_allocs(|| alloc_delta(graph, erase(mk()), hi));
-    assert_eq!(
-        short, long,
-        "{name} (erased): allocation count grows with round count — the robot \
-         decide path allocates in steady state ({short} vs {long})"
     );
 }
 

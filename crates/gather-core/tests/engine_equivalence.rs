@@ -3,10 +3,11 @@
 //! The simulator's round loop has been rewritten for performance (message
 //! arena, incremental occupancy, dense metrics); these tests guarantee the
 //! rewrite is *behaviour-preserving* by replaying fixed scenarios for all
-//! four built-in algorithms — through both the monomorphized factory fast
-//! path and the type-erased `DynRobot` path — and comparing every observable
-//! field of [`gather_sim::SimOutcome`] against outputs recorded from the
-//! pre-refactor engine.
+//! four built-in algorithms through the registry and comparing every
+//! observable field of [`gather_sim::SimOutcome`] against outputs recorded
+//! from the pre-refactor engine. The same scenarios also pin the driver
+//! ([`Simulator::run`]) against a hand fold of the pure step function
+//! ([`gather_sim::transition`]).
 //!
 //! Regenerate the fixture (only when an *intentional* behaviour change is
 //! made) with:
@@ -15,11 +16,15 @@
 //! GATHER_GENERATE_FIXTURE=1 cargo test -p gather-core --test engine_equivalence
 //! ```
 
-use gather_core::{registry, GatherConfig};
-use gather_graph::{generators, PortGraph};
+use gather_core::{registry, Algorithm, GatherConfig, RobotVisitor};
+use gather_graph::{generators, NodeId, PortGraph};
 use gather_sim::placement::{self, Placement, PlacementKind};
-use gather_sim::{SimConfig, SimOutcome, Simulator};
+use gather_sim::{
+    transition, Activation, FaultPlan, Robot, SimConfig, SimOutcome, SimState, Simulator,
+    StepBuffers,
+};
 use serde::{Deserialize, Serialize};
+use std::hash::Hash;
 use std::path::PathBuf;
 
 /// Everything observable about one recorded run.
@@ -170,37 +175,21 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/engine_equivalence.json")
 }
 
-fn run_case(case: &Case, erased: bool) -> SimOutcome {
+fn run_case(case: &Case) -> SimOutcome {
     let factory = registry::global()
         .get(case.algorithm)
         .expect("builtin registered");
-    let cfg = GatherConfig::fast();
     let sim = SimConfig::with_max_rounds(case.max_rounds);
-    if erased {
-        Simulator::new(&case.graph, sim).run(factory.spawn(&case.graph, &case.start, &cfg))
-    } else {
-        factory.run(&case.graph, &case.start, &cfg, sim)
-    }
+    factory.run(&case.graph, &case.start, &GatherConfig::fast(), sim)
 }
 
 #[test]
-fn engine_outcomes_match_prerefactor_fixture_on_both_dispatch_paths() {
+fn engine_outcomes_match_prerefactor_fixture() {
     let generate = std::env::var("GATHER_GENERATE_FIXTURE").is_ok_and(|v| v == "1");
-    let cases = cases();
-
-    let mut recorded = Vec::new();
-    for case in &cases {
-        let fast = run_case(case, false);
-        let erased = run_case(case, true);
-        let fast_rec = Recorded::from_outcome(case.name, case.algorithm, &fast);
-        let erased_rec = Recorded::from_outcome(case.name, case.algorithm, &erased);
-        assert_eq!(
-            fast_rec, erased_rec,
-            "{}: monomorphized and erased dispatch disagree",
-            case.name
-        );
-        recorded.push(fast_rec);
-    }
+    let recorded: Vec<Recorded> = cases()
+        .iter()
+        .map(|case| Recorded::from_outcome(case.name, case.algorithm, &run_case(case)))
+        .collect();
 
     let path = fixture_path();
     if generate {
@@ -225,4 +214,111 @@ fn engine_outcomes_match_prerefactor_fixture_on_both_dispatch_paths() {
     for (got, want) in recorded.iter().zip(&expected) {
         assert_eq!(got, want, "{}: outcome drifted from the fixture", want.case);
     }
+}
+
+/// Runs the visited robots through [`Simulator::run`] and, separately, folds
+/// [`transition`] from [`SimState::new`] under [`Activation::All`] with the
+/// driver's stop rule (every survivor terminated, or the round cap); both
+/// must land on the same round, final positions and termination.
+struct DriverVsTransition<'a> {
+    name: &'a str,
+    graph: &'a PortGraph,
+    max_rounds: u64,
+    faults: FaultPlan,
+}
+
+impl RobotVisitor for DriverVsTransition<'_> {
+    type Output = ();
+
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) {
+        let name = self.name;
+        let sim = SimConfig::with_max_rounds(self.max_rounds).with_faults(self.faults.clone());
+        let out = Simulator::new(self.graph, sim).run(robots.clone());
+
+        let mut state = SimState::new(self.graph, robots);
+        let faults = (!self.faults.is_empty()).then(|| self.faults.resolve(&state.ids).unwrap());
+        let done = |s: &SimState<R>| match &faults {
+            None => s.all_terminated(),
+            Some(f) => f.survivors_terminated(&s.terminated),
+        };
+        let mut bufs = StepBuffers::new(self.graph.n(), &state);
+        let mut termination_round = None;
+        while !done(&state) && state.round < self.max_rounds {
+            let round = state.round;
+            state = transition(
+                self.graph,
+                &state,
+                Activation::All,
+                faults.as_ref(),
+                &mut bufs,
+            );
+            if done(&state) {
+                termination_round = Some(round);
+            }
+        }
+
+        assert_eq!(state.round, out.rounds, "{name}: rounds");
+        for (i, id) in state.ids.iter().enumerate() {
+            assert_eq!(
+                state.positions[i], out.final_positions[id],
+                "{name}: final position of robot {id}"
+            );
+        }
+        assert_eq!(state.all_terminated(), out.all_terminated, "{name}");
+        assert_eq!(termination_round, out.termination_round, "{name}");
+        if let Some(f) = &faults {
+            let d = out.metrics.degradation.expect("faulty run has degradation");
+            assert_eq!(
+                f.survivors_terminated(&state.terminated),
+                d.survivors_terminated,
+                "{name}: survivor termination"
+            );
+        }
+    }
+}
+
+#[test]
+fn folding_the_pure_transition_reproduces_the_driver_on_every_builtin() {
+    let cfg = GatherConfig::fast();
+    let mut covered = Vec::new();
+    for case in cases() {
+        let algorithm = Algorithm::from_name(case.algorithm).expect("builtin");
+        algorithm.with_robots(
+            &case.graph,
+            &case.start,
+            &cfg,
+            DriverVsTransition {
+                name: case.name,
+                graph: &case.graph,
+                max_rounds: case.max_rounds,
+                faults: FaultPlan::default(),
+            },
+        );
+        covered.push(algorithm);
+    }
+    for algorithm in Algorithm::ALL {
+        assert!(
+            covered.contains(&algorithm),
+            "{} not covered",
+            algorithm.name()
+        );
+    }
+
+    // One crash-plan instance: robot 2 of the UXS case freezes from round 1,
+    // so the driver's survivor-scoped stop rule and the fold's must agree.
+    let case = cases()
+        .into_iter()
+        .find(|c| c.name == "uxs_sparse8_k3")
+        .unwrap();
+    Algorithm::UxsOnly.with_robots(
+        &case.graph,
+        &case.start,
+        &cfg,
+        DriverVsTransition {
+            name: "uxs_sparse8_k3 + crash",
+            graph: &case.graph,
+            max_rounds: 20_000,
+            faults: FaultPlan::new(0).crash(2, 1),
+        },
+    );
 }

@@ -80,15 +80,14 @@ impl SimOutcome {
 /// This is the `State` of the pure step function [`transition`]: two equal
 /// `SimState` values evolve identically under equal activations, because the
 /// engine has no other mutable state (message exchange happens entirely
-/// *within* a round — announce, deliver and decide all execute in one
-/// [`StepBuffers::finish_round`] call — so there are never in-flight messages
-/// between rounds and the state needs no message component).
+/// *within* a round — announce, deliver and decide all execute in one step —
+/// so there are never in-flight messages between rounds and the state needs
+/// no message component).
 ///
 /// `Hash` covers every field, including the robots themselves (which is why
 /// it requires `R: Hash`); the model checker relies on this to digest states
 /// for its visited set, so robot `Hash` impls must cover all
-/// behavior-relevant internal state (see the `DynRobot` notes in
-/// [`crate::robot`] for the erased path, which has no digest).
+/// behavior-relevant internal state.
 #[derive(Clone, Hash)]
 pub struct SimState<R> {
     /// Robot state machines, in the order they were handed to the engine.
@@ -158,11 +157,11 @@ impl<R: Robot> SimState<R> {
 
 /// What the occupancy pass of a round observed, before any robot acts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundShape {
+struct RoundShape {
     /// Number of distinct occupied nodes (1 ⟺ gathered).
-    pub occupied: usize,
+    occupied: usize,
     /// Size of the largest co-located group (≥ 2 ⟺ a contact exists).
-    pub max_bucket: u32,
+    max_bucket: u32,
 }
 
 /// The reusable per-round working memory of the engine: occupancy chains,
@@ -171,8 +170,8 @@ pub struct RoundShape {
 ///
 /// One `StepBuffers` serves one `(n, robot set)` shape. [`Simulator::run`]
 /// keeps a single instance across all rounds (that is the allocation-free
-/// steady state); [`transition`] builds a throwaway one, and batch callers
-/// like the model checker reuse one across many [`transition_with`] calls.
+/// steady state), and batch callers like the model checker reuse one across
+/// many [`transition`] calls.
 pub struct StepBuffers<R: Robot> {
     /// Robot indices in ascending id order: scattering robots into node
     /// buckets in this order keeps every bucket — and therefore every
@@ -188,14 +187,6 @@ pub struct StepBuffers<R: Robot> {
     arena: Vec<(RobotId, <R as Robot>::Msg)>,
     arena_pos: Vec<u32>,        // robot -> arena index
     slot_msgs: Vec<(u32, u32)>, // slot -> arena range
-    // Payload recycling (only for robots that opt in, i.e. the erased
-    // `DynRobot` path): last round's arena entries are drained back into
-    // per-robot slots and offered to `announce_reuse`, so `Arc`-backed
-    // messages overwrite their previous allocation instead of making a
-    // new one every round. `arena_owner` remembers which robot wrote
-    // each arena entry.
-    msg_slots: Vec<Option<<R as Robot>::Msg>>,
-    arena_owner: Vec<u32>,
     observations: Vec<Observation>,
     actions: Vec<Action>,
     // Per-robot previous announcement, kept only for robots with a
@@ -203,7 +194,7 @@ pub struct StepBuffers<R: Robot> {
     // fault-free runs never touch it). This is deliberate *cross-round*
     // buffer state: replay makes the step a function of the buffer history,
     // which is why the model checker only accepts crash plans (see
-    // [`transition_faulty`]).
+    // [`transition`]).
     last_msgs: Vec<Option<<R as Robot>::Msg>>,
 }
 
@@ -232,16 +223,6 @@ impl<R: Robot> StepBuffers<R> {
             arena: Vec::with_capacity(k),
             arena_pos: vec![u32::MAX; k],
             slot_msgs: Vec::with_capacity(k),
-            msg_slots: if R::REUSES_MSG_STORAGE {
-                vec![None; k]
-            } else {
-                Vec::new()
-            },
-            arena_owner: if R::REUSES_MSG_STORAGE {
-                Vec::with_capacity(k)
-            } else {
-                Vec::new()
-            },
             observations: vec![dummy_obs; k],
             actions: vec![Action::Stay; k],
             last_msgs: Vec::new(),
@@ -252,7 +233,7 @@ impl<R: Robot> StepBuffers<R> {
     /// robot indices are threaded onto per-bucket linked chains in id order,
     /// touching only the nodes that are actually occupied. Returns the
     /// detection predicates that fall out of the same pass.
-    pub fn begin_round(&mut self, state: &SimState<R>) -> RoundShape {
+    fn begin_round(&mut self, state: &SimState<R>) -> RoundShape {
         for &node in &self.touched {
             self.node_slot[node] = u32::MAX;
         }
@@ -261,13 +242,6 @@ impl<R: Robot> StepBuffers<R> {
         self.slot_head.clear();
         self.slot_tail.clear();
         self.slot_msgs.clear();
-        if R::REUSES_MSG_STORAGE {
-            // Hand every robot its own last announcement back so the
-            // next announce can overwrite the payload in place.
-            for (owner, (_, msg)) in self.arena_owner.drain(..).zip(self.arena.drain(..)) {
-                self.msg_slots[owner as usize] = Some(msg);
-            }
-        }
         self.arena.clear();
         let mut max_bucket: u32 = 0;
         for &i in &self.order {
@@ -306,41 +280,17 @@ impl<R: Robot> StepBuffers<R> {
     ///
     /// Robots not selected by `activation` — like terminated robots — keep
     /// occupying their bucket (co-located robots still see them) but are
-    /// neither asked to announce nor to decide, and stay put.
+    /// neither asked to announce nor to decide, and stay put. Under a fault
+    /// table, robots crashed by this round freeze exactly like non-activated
+    /// robots, and Byzantine robots have their outbound announcements
+    /// rewritten per their strategy. `metrics`, when present, accumulates
+    /// moves, deliveries and degradation counters.
     ///
     /// Returns true if some robot terminated this round while the robots
     /// were not all co-located (the engine's false-detection flag; note it
     /// reads positions mid-application — a longstanding quirk preserved for
     /// fixture parity).
-    pub fn finish_round(
-        &mut self,
-        graph: &PortGraph,
-        state: &mut SimState<R>,
-        activation: Activation,
-    ) -> bool {
-        self.finish_round_metered(graph, state, activation, None, None)
-    }
-
-    /// [`StepBuffers::finish_round`] with a resolved fault table applied:
-    /// robots crashed by this round freeze (exactly like non-activated
-    /// robots — they occupy their bucket and are seen, but neither announce
-    /// nor act), and Byzantine robots have their outbound announcements
-    /// rewritten per their strategy. Same calling contract as
-    /// [`StepBuffers::finish_round`].
-    pub fn finish_round_faulty(
-        &mut self,
-        graph: &PortGraph,
-        state: &mut SimState<R>,
-        activation: Activation,
-        faults: &EngineFaults,
-    ) -> bool {
-        self.finish_round_metered(graph, state, activation, Some(faults), None)
-    }
-
-    /// [`StepBuffers::finish_round`] with optional faults and the engine's
-    /// metrics recorder attached (crate-internal: the recorder type is not
-    /// public API).
-    pub(crate) fn finish_round_metered(
+    fn finish_round(
         &mut self,
         graph: &PortGraph,
         state: &mut SimState<R>,
@@ -380,13 +330,7 @@ impl<R: Robot> StepBuffers<R> {
                     match faults.and_then(|f| f.strategy(i)) {
                         None => {
                             self.arena_pos[i] = self.arena.len() as u32;
-                            let msg = if R::REUSES_MSG_STORAGE {
-                                self.arena_owner.push(i as u32);
-                                let prev = self.msg_slots[i].take();
-                                state.robots[i].announce_reuse(&obs, prev)
-                            } else {
-                                state.robots[i].announce(&obs)
-                            };
+                            let msg = state.robots[i].announce(&obs);
                             self.arena.push((state.ids[i], msg));
                         }
                         Some(strategy) => {
@@ -477,8 +421,7 @@ impl<R: Robot> StepBuffers<R> {
     /// control. The robot's *real* `announce` always runs (its state machine
     /// advances exactly as in an honest round — the adversary owns the
     /// channel, not the robot's brain); what reaches the arena depends on
-    /// the strategy. Every arena push mirrors the honest path's
-    /// `arena_owner` bookkeeping so payload recycling stays aligned.
+    /// the strategy.
     fn announce_byzantine(
         &mut self,
         state: &mut SimState<R>,
@@ -492,28 +435,14 @@ impl<R: Robot> StepBuffers<R> {
                 // Suppress the message: peers see the robot (it occupies
                 // its bucket) but never hear it.
                 self.arena_pos[i] = u32::MAX;
-                if R::REUSES_MSG_STORAGE {
-                    let prev = self.msg_slots[i].take();
-                    let msg = state.robots[i].announce_reuse(obs, prev);
-                    // No arena entry to drain back next round, so return
-                    // the payload to the robot's slot directly.
-                    self.msg_slots[i] = Some(msg);
-                } else {
-                    let _ = state.robots[i].announce(obs);
-                }
+                let _ = state.robots[i].announce(obs);
             }
             ByzantineStrategy::RandomMsg => {
                 // Announce from a seeded-garbage observation: peers get a
                 // well-formed message carrying adversarial content.
                 let fake = faults.scramble_observation(i, obs);
                 self.arena_pos[i] = self.arena.len() as u32;
-                let msg = if R::REUSES_MSG_STORAGE {
-                    self.arena_owner.push(i as u32);
-                    let prev = self.msg_slots[i].take();
-                    state.robots[i].announce_reuse(&fake, prev)
-                } else {
-                    state.robots[i].announce(&fake)
-                };
+                let msg = state.robots[i].announce(&fake);
                 self.arena.push((state.ids[i], msg));
             }
             ByzantineStrategy::ReplayLast => {
@@ -521,13 +450,7 @@ impl<R: Robot> StepBuffers<R> {
                 // for next round. The first announcement has no
                 // predecessor and goes out as-is.
                 self.arena_pos[i] = self.arena.len() as u32;
-                let msg = if R::REUSES_MSG_STORAGE {
-                    self.arena_owner.push(i as u32);
-                    let prev = self.msg_slots[i].take();
-                    state.robots[i].announce_reuse(obs, prev)
-                } else {
-                    state.robots[i].announce(obs)
-                };
+                let msg = state.robots[i].announce(obs);
                 if self.last_msgs.is_empty() {
                     self.last_msgs.resize_with(state.k(), || None);
                 }
@@ -541,13 +464,7 @@ impl<R: Robot> StepBuffers<R> {
                 // no-duplicate inbox) assumptions peers may rely on.
                 let forged = faults.impersonated_id(i, obs.round, &state.ids);
                 self.arena_pos[i] = self.arena.len() as u32;
-                let msg = if R::REUSES_MSG_STORAGE {
-                    self.arena_owner.push(i as u32);
-                    let prev = self.msg_slots[i].take();
-                    state.robots[i].announce_reuse(obs, prev)
-                } else {
-                    state.robots[i].announce(obs)
-                };
+                let msg = state.robots[i].announce(obs);
                 self.arena.push((forged, msg));
             }
         }
@@ -555,43 +472,21 @@ impl<R: Robot> StepBuffers<R> {
 }
 
 /// One activation step as a **pure function**: returns the successor of
-/// `state` under `activation` without touching `state` itself. Equal inputs
-/// give equal outputs — the engine keeps no hidden mutable state and message
-/// exchange completes within the step (see [`SimState`]).
+/// `state` under `activation` (and the resolved fault table, if any) without
+/// touching `state` itself. Equal inputs give equal outputs — the engine
+/// keeps no hidden mutable state and message exchange completes within the
+/// step (see [`SimState`]).
+///
+/// `bufs` is the step's working memory; callers that take many steps reuse
+/// one instance to amortize its allocations. It must have been built for the
+/// same graph size and robot set (any state of the same run is fine).
 ///
 /// This is the semantic core the model checker explores; [`Simulator::run`]
-/// executes the identical round code ([`StepBuffers::begin_round`] +
-/// [`StepBuffers::finish_round`]) in place over one persistent state and
+/// executes the identical round code in place over one persistent state and
 /// buffer set, which is what keeps the simulation path allocation-free.
 ///
 /// Stop conditions, metrics and tracing are the driver's business, not the
 /// transition's: this computes successor states only.
-pub fn transition<R: Robot + Clone>(
-    graph: &PortGraph,
-    state: &SimState<R>,
-    activation: Activation,
-) -> SimState<R> {
-    let mut bufs = StepBuffers::new(graph.n(), state);
-    transition_with(graph, state, activation, &mut bufs)
-}
-
-/// [`transition`] with caller-provided buffers, so batch explorers amortize
-/// the buffer allocations across many steps. `bufs` must have been built for
-/// the same graph size and robot set (any state of the same run is fine).
-pub fn transition_with<R: Robot + Clone>(
-    graph: &PortGraph,
-    state: &SimState<R>,
-    activation: Activation,
-    bufs: &mut StepBuffers<R>,
-) -> SimState<R> {
-    let mut next = state.clone();
-    bufs.begin_round(&next);
-    bufs.finish_round(graph, &mut next, activation);
-    next
-}
-
-/// [`transition`] under a resolved fault table (see
-/// [`StepBuffers::finish_round_faulty`]).
 ///
 /// **Purity caveat:** crash faults keep the step pure — whether a robot is
 /// crashed is a function of `state.round`, which `SimState`'s `Hash` covers.
@@ -600,28 +495,16 @@ pub fn transition_with<R: Robot + Clone>(
 /// history that no `SimState` field reflects; exhaustive explorers must
 /// therefore restrict themselves to crash-only plans (the model checker
 /// rejects Byzantine plans for exactly this reason).
-pub fn transition_faulty<R: Robot + Clone>(
+pub fn transition<R: Robot + Clone>(
     graph: &PortGraph,
     state: &SimState<R>,
     activation: Activation,
-    faults: &EngineFaults,
-) -> SimState<R> {
-    let mut bufs = StepBuffers::new(graph.n(), state);
-    transition_faulty_with(graph, state, activation, faults, &mut bufs)
-}
-
-/// [`transition_faulty`] with caller-provided buffers (the faulty analogue
-/// of [`transition_with`]; the same purity caveat applies).
-pub fn transition_faulty_with<R: Robot + Clone>(
-    graph: &PortGraph,
-    state: &SimState<R>,
-    activation: Activation,
-    faults: &EngineFaults,
+    faults: Option<&EngineFaults>,
     bufs: &mut StepBuffers<R>,
 ) -> SimState<R> {
     let mut next = state.clone();
     bufs.begin_round(&next);
-    bufs.finish_round_faulty(graph, &mut next, activation, faults);
+    bufs.finish_round(graph, &mut next, activation, faults, None);
     next
 }
 
@@ -788,7 +671,7 @@ impl<'g> Simulator<'g> {
             };
             let this_round = state.round;
             let step_start = detail.then(Instant::now);
-            if bufs.finish_round_metered(
+            if bufs.finish_round(
                 self.graph,
                 &mut state,
                 activation,
@@ -1267,7 +1150,7 @@ mod tests {
         let mut state = SimState::new(&g, mk());
         let mut bufs = StepBuffers::new(g.n(), &state);
         for _ in 0..rounds {
-            state = transition_with(&g, &state, Activation::All, &mut bufs);
+            state = transition(&g, &state, Activation::All, None, &mut bufs);
         }
         assert_eq!(state.round, out.rounds);
         for (i, id) in state.ids.iter().enumerate() {
@@ -1276,9 +1159,25 @@ mod tests {
         // And the throwaway-buffer variant agrees with the reused-buffer one.
         let mut state2 = SimState::new(&g, mk());
         for _ in 0..rounds {
-            state2 = transition(&g, &state2, Activation::All);
+            state2 = step(&g, &state2, Activation::All, None);
         }
         assert_eq!(state2.positions, state.positions);
+    }
+
+    /// One [`transition`] with throwaway buffers.
+    fn step<R: Robot + Clone>(
+        g: &PortGraph,
+        state: &SimState<R>,
+        activation: Activation,
+        faults: Option<&EngineFaults>,
+    ) -> SimState<R> {
+        transition(
+            g,
+            state,
+            activation,
+            faults,
+            &mut StepBuffers::new(g.n(), state),
+        )
     }
 
     /// A `Clone`-able port-walker for the pure-transition tests.
@@ -1310,8 +1209,8 @@ mod tests {
             vec![(CloneWalker { id: 1 }, 0), (CloneWalker { id: 2 }, 3)],
         );
         let before = state.positions.clone();
-        let a = transition(&g, &state, Activation::All);
-        let b = transition(&g, &state, Activation::All);
+        let a = step(&g, &state, Activation::All, None);
+        let b = step(&g, &state, Activation::All, None);
         assert_eq!(state.positions, before, "source state must not change");
         assert_eq!(state.round, 0);
         assert_eq!(a.positions, b.positions, "equal inputs, equal outputs");
@@ -1327,7 +1226,7 @@ mod tests {
         );
         // Activate only robot index 1: robot 0 must not move and must not
         // consume an activation (its internal state is untouched).
-        let next = transition(&g, &state, Activation::Subset(0b10));
+        let next = step(&g, &state, Activation::Subset(0b10), None);
         assert_eq!(next.positions[0], state.positions[0]);
         assert_ne!(next.positions[1], state.positions[1]);
         assert_eq!(next.round, 1);
@@ -1357,7 +1256,7 @@ mod tests {
         );
         // Only robot 9 (index 1) is active: it sees a co-located robot in its
         // observation but receives no message from the inactive robot 1.
-        let next = transition(&g, &state, Activation::Subset(0b10));
+        let next = step(&g, &state, Activation::Subset(0b10), None);
         assert!(
             !next.robots[1].heard_larger,
             "inactive robots must not announce"
@@ -1529,7 +1428,7 @@ mod tests {
             .unwrap();
         let mut bufs = StepBuffers::new(g.n(), &state);
         for _ in 0..3 {
-            state = transition_faulty_with(&g, &state, Activation::All, &faults, &mut bufs);
+            state = transition(&g, &state, Activation::All, Some(&faults), &mut bufs);
         }
         // Robot 4 announces rounds 0, 1, 2 but the adversary replays the
         // previous one: 8 hears 0 (nothing older exists), then 0, then 1.
@@ -1547,7 +1446,7 @@ mod tests {
             .byzantine(4, ByzantineStrategy::Impersonate)
             .resolve(&state.ids)
             .unwrap();
-        let next = transition_faulty(&g, &state, Activation::All, &faults);
+        let next = step(&g, &state, Activation::All, Some(&faults));
         // With k = 2 the only label to forge is the peer's own: robot 8
         // receives a message apparently sent by itself.
         assert_eq!(next.robots[1].senders, vec![8]);
@@ -1563,12 +1462,12 @@ mod tests {
             .byzantine(4, ByzantineStrategy::RandomMsg)
             .resolve(&state.ids)
             .unwrap();
-        let next = transition_faulty(&g, &state, Activation::All, &faults);
+        let next = step(&g, &state, Activation::All, Some(&faults));
         // RoundEcho's announcement depends only on truthful observation
         // fields, so the message content is unchanged — but delivery still
         // happens and the run stays deterministic.
         assert_eq!(next.robots[1].heard, vec![0]);
-        let again = transition_faulty(&g, &state, Activation::All, &faults);
+        let again = step(&g, &state, Activation::All, Some(&faults));
         assert_eq!(next.robots[1].heard, again.robots[1].heard);
     }
 
@@ -1592,7 +1491,7 @@ mod tests {
         let faults = plan.resolve(&state.ids).unwrap();
         let mut bufs = StepBuffers::new(g.n(), &state);
         for _ in 0..rounds {
-            state = transition_faulty_with(&g, &state, Activation::All, &faults, &mut bufs);
+            state = transition(&g, &state, Activation::All, Some(&faults), &mut bufs);
         }
         assert_eq!(state.round, out.rounds);
         for (i, id) in state.ids.iter().enumerate() {
@@ -1601,7 +1500,7 @@ mod tests {
         // Crash-only steps are pure: throwaway buffers agree.
         let mut state2 = SimState::new(&g, mk());
         for _ in 0..rounds {
-            state2 = transition_faulty(&g, &state2, Activation::All, &faults);
+            state2 = step(&g, &state2, Activation::All, Some(&faults));
         }
         assert_eq!(state2.positions, state.positions);
     }

@@ -46,13 +46,10 @@ pub mod scheduler;
 pub mod trace;
 
 pub use config::SimConfig;
-pub use engine::{
-    transition, transition_faulty, transition_faulty_with, transition_with, RoundShape, SimOutcome,
-    SimState, Simulator, StepBuffers,
-};
+pub use engine::{transition, SimOutcome, SimState, Simulator, StepBuffers};
 pub use faults::{ByzantineStrategy, EngineFaults, FaultError, FaultPlan, RobotFault};
 pub use metrics::{Degradation, Metrics};
 pub use placement::{Placement, PlacementKind};
-pub use robot::{Action, DynMsg, DynRobot, Inbox, InboxIter, Observation, Robot, RobotId};
+pub use robot::{Action, Inbox, InboxIter, Observation, Robot, RobotId};
 pub use scheduler::{alive_mask, Activation, Scheduler};
 pub use trace::Trace;

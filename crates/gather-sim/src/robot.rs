@@ -2,9 +2,7 @@
 
 use gather_graph::PortId;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
 
 /// A robot label. The model assigns distinct labels from `[1, n^b]` for some
 /// constant `b > 1`; robots of *different* bit lengths are explicitly allowed
@@ -65,31 +63,12 @@ pub enum Action {
 /// non-terminated robots — the same contract the old `&[(RobotId, Msg)]`
 /// slices carried. Use [`Inbox::iter`] for the peers' `(id, &msg)` pairs, or
 /// [`Inbox::get`] to look up one sender.
-///
-/// An inbox delivered through the type-erased [`DynRobot`] layer keeps its
-/// entries erased; iteration downcasts each message on the fly and silently
-/// drops announcements of foreign types (robots of different algorithms never
-/// normally share a node within one run, so nothing is lost).
 pub struct Inbox<'a, M> {
-    entries: InboxEntries<'a, M>,
+    entries: &'a [(RobotId, M)],
     /// Index of the receiver's own entry within `entries` (skipped by
     /// iteration), or `usize::MAX` when the receiver has no entry.
     skip: usize,
 }
-
-enum InboxEntries<'a, M> {
-    /// Concrete messages, delivered by the monomorphized engine loop.
-    Typed(&'a [(RobotId, M)]),
-    /// Erased messages, delivered through the [`DynRobot`] layer.
-    Erased(&'a [(RobotId, DynMsg)]),
-}
-
-impl<'a, M> Clone for InboxEntries<'a, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'a, M> Copy for InboxEntries<'a, M> {}
 
 impl<'a, M> Clone for Inbox<'a, M> {
     fn clone(&self) -> Self {
@@ -107,17 +86,14 @@ impl<M> Default for Inbox<'_, M> {
 impl<'a, M> Inbox<'a, M> {
     /// An inbox with no messages (a robot alone on its node).
     pub fn empty() -> Self {
-        Inbox {
-            entries: InboxEntries::Typed(&[]),
-            skip: usize::MAX,
-        }
+        Inbox::from_slice(&[])
     }
 
     /// Wraps a plain id-sorted slice of messages, none of which belong to the
     /// receiver. This is how tests and manual drivers build inboxes.
     pub fn from_slice(entries: &'a [(RobotId, M)]) -> Self {
         Inbox {
-            entries: InboxEntries::Typed(entries),
+            entries,
             skip: usize::MAX,
         }
     }
@@ -125,14 +101,9 @@ impl<'a, M> Inbox<'a, M> {
     /// Engine-internal constructor: a node bucket of the message arena plus
     /// the receiver's own position within it.
     pub(crate) fn typed(entries: &'a [(RobotId, M)], skip: usize) -> Self {
-        Inbox {
-            entries: InboxEntries::Typed(entries),
-            skip,
-        }
+        Inbox { entries, skip }
     }
-}
 
-impl<'a, M: Any> Inbox<'a, M> {
     /// Iterates over `(sender id, message)` pairs, sorted by sender id.
     pub fn iter(&self) -> InboxIter<'a, M> {
         InboxIter {
@@ -142,21 +113,14 @@ impl<'a, M: Any> Inbox<'a, M> {
         }
     }
 
-    /// Number of messages delivered (excluding the receiver's own entry; in
-    /// an erased inbox, counting only messages of type `M`).
+    /// Number of messages delivered (excluding the receiver's own entry).
     pub fn len(&self) -> usize {
-        match self.entries {
-            InboxEntries::Typed(e) => e.len() - usize::from(self.skip < e.len()),
-            InboxEntries::Erased(_) => self.iter().count(),
-        }
+        self.entries.len() - usize::from(self.skip < self.entries.len())
     }
 
     /// True when no messages were delivered.
     pub fn is_empty(&self) -> bool {
-        match self.entries {
-            InboxEntries::Typed(_) => self.len() == 0,
-            InboxEntries::Erased(_) => self.iter().next().is_none(),
-        }
+        self.len() == 0
     }
 
     /// The message announced by robot `id`, if it is present in this inbox.
@@ -165,23 +129,7 @@ impl<'a, M: Any> Inbox<'a, M> {
     }
 }
 
-impl<'a> Inbox<'a, DynMsg> {
-    /// Re-views an erased inbox at a concrete message type. Iteration will
-    /// downcast entries on the fly; foreign messages are dropped and order is
-    /// preserved. This is free — no messages are cloned or collected.
-    pub fn downcast<M: Any>(&self) -> Inbox<'a, M> {
-        let entries = match self.entries {
-            InboxEntries::Typed(e) => e,
-            InboxEntries::Erased(e) => e,
-        };
-        Inbox {
-            entries: InboxEntries::Erased(entries),
-            skip: self.skip,
-        }
-    }
-}
-
-impl<'a, M: Any + fmt::Debug> fmt::Debug for Inbox<'a, M> {
+impl<'a, M: fmt::Debug> fmt::Debug for Inbox<'a, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
@@ -189,36 +137,22 @@ impl<'a, M: Any + fmt::Debug> fmt::Debug for Inbox<'a, M> {
 
 /// Iterator over the `(sender id, message)` pairs of an [`Inbox`].
 pub struct InboxIter<'a, M> {
-    entries: InboxEntries<'a, M>,
+    entries: &'a [(RobotId, M)],
     idx: usize,
     skip: usize,
 }
 
-impl<'a, M: Any> Iterator for InboxIter<'a, M> {
+impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = (RobotId, &'a M);
 
     fn next(&mut self) -> Option<(RobotId, &'a M)> {
-        loop {
-            if self.idx == self.skip {
-                self.idx += 1;
-                continue;
-            }
-            match self.entries {
-                InboxEntries::Typed(e) => {
-                    let (id, m) = e.get(self.idx)?;
-                    self.idx += 1;
-                    return Some((*id, m));
-                }
-                InboxEntries::Erased(e) => {
-                    let (id, m) = e.get(self.idx)?;
-                    self.idx += 1;
-                    if let Some(m) = m.downcast_ref::<M>() {
-                        return Some((*id, m));
-                    }
-                    // Foreign message type: drop and keep scanning.
-                }
-            }
+        // The receiver's own entry occurs at most once, so one check skips it.
+        if self.idx == self.skip {
+            self.idx += 1;
         }
+        let (id, m) = self.entries.get(self.idx)?;
+        self.idx += 1;
+        Some((*id, m))
     }
 }
 
@@ -241,33 +175,14 @@ impl<'a, M: Any> Iterator for InboxIter<'a, M> {
 /// peer from that peer's announcement (the gathering algorithms use this to
 /// follow the *actual* move of a leader rather than its announced intention).
 pub trait Robot {
-    /// The message type exchanged between co-located robots. (`Any` — i.e.
-    /// `'static` — so that the same message can be delivered through the
-    /// type-erased [`DynRobot`] layer without copying.)
-    type Msg: Clone + std::fmt::Debug + Any;
-
-    /// True when [`Robot::announce_reuse`] actually reuses the storage of
-    /// the previous round's message. The engine only pays for recycling
-    /// message payloads (draining its arena back into per-robot slots) when
-    /// an implementation opts in; the erased [`DynRobot`] layer does, which
-    /// is what makes its hot path allocation-free in steady state.
-    const REUSES_MSG_STORAGE: bool = false;
+    /// The message type exchanged between co-located robots.
+    type Msg: Clone + std::fmt::Debug;
 
     /// This robot's label.
     fn id(&self) -> RobotId;
 
     /// Publish this round's announcement.
     fn announce(&mut self, obs: &Observation) -> Self::Msg;
-
-    /// [`Robot::announce`], offered the previous round's message back so its
-    /// storage can be reused. The default ignores `prev` (plain message
-    /// types carry no reusable storage); the erased layer overrides it to
-    /// overwrite the recycled [`DynMsg`] allocation in place. Only called by
-    /// the engine when [`Robot::REUSES_MSG_STORAGE`] is set.
-    fn announce_reuse(&mut self, obs: &Observation, prev: Option<Self::Msg>) -> Self::Msg {
-        let _ = prev;
-        self.announce(obs)
-    }
 
     /// Read co-located announcements (own announcement excluded) and decide
     /// this round's action. The inbox is sorted by robot id for determinism
@@ -288,176 +203,6 @@ pub trait Robot {
     /// "not reported".
     fn memory_estimate_bits(&self) -> usize {
         0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Type-erased robots.
-// ---------------------------------------------------------------------------
-
-/// A type-erased announcement, allowing robots with different concrete
-/// message types to live behind one trait object.
-///
-/// [`Robot::Msg`] is an associated type, so `Robot` itself is not
-/// object-safe. [`DynRobot`] erases the message type behind `Any`; receivers
-/// downcast back to their own message type and simply ignore announcements
-/// they do not understand (robots of *different* algorithms never normally
-/// share a node within one run, so nothing is lost).
-#[derive(Clone)]
-pub struct DynMsg(Arc<dyn Any + Send + Sync>);
-
-impl DynMsg {
-    /// Erases a concrete message.
-    pub fn new<M: Any + Send + Sync>(msg: M) -> Self {
-        DynMsg(Arc::new(msg))
-    }
-
-    /// Recovers the concrete message, if `M` is its actual type.
-    pub fn downcast_ref<M: Any>(&self) -> Option<&M> {
-        self.0.downcast_ref::<M>()
-    }
-
-    /// Writes `msg` into this value's existing allocation, if it is the sole
-    /// owner and the payload is already of type `M`; hands `msg` back
-    /// otherwise. This is the recycling step of the erased hot path: a slot
-    /// that came back from the engine's arena has exactly one owner, so the
-    /// overwrite succeeds and no new `Arc` is allocated.
-    pub fn try_overwrite<M: Any + Send + Sync>(&mut self, msg: M) -> Result<(), M> {
-        match Arc::get_mut(&mut self.0).and_then(|payload| payload.downcast_mut::<M>()) {
-            Some(slot) => {
-                *slot = msg;
-                Ok(())
-            }
-            None => Err(msg),
-        }
-    }
-}
-
-impl fmt::Debug for DynMsg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("DynMsg(..)")
-    }
-}
-
-/// Object-safe mirror of [`Robot`], blanket-implemented for every robot whose
-/// message type is erasable.
-///
-/// This is what makes an *open* algorithm registry possible: a factory can
-/// hand back `Box<dyn DynRobot>` values for any robot implementation — in
-/// this workspace or downstream — and the simulator runs them through the
-/// [`Robot`] impl on the boxed trait object.
-///
-/// The erased hot path is allocation-free in steady state: inboxes are
-/// re-viewed (not re-collected) at the concrete message type via
-/// [`Inbox::downcast`], and announcement payloads live in recycled per-robot
-/// `Arc` slots — the engine hands each robot its previous round's [`DynMsg`]
-/// back through [`DynRobot::announce_dyn_reuse`], which overwrites the
-/// payload in place instead of allocating a fresh `Arc` (asserted by the
-/// counting-allocator test in `gather-sim/tests/alloc_free.rs`).
-///
-/// # No state digest on the erased path
-///
-/// The model checker deduplicates visited [`crate::engine::SimState`]s by
-/// hashing them, which requires `R: Hash` on the *whole* robot — a bound a
-/// trait object cannot offer without forcing every implementor to expose a
-/// canonical digest. Rather than ship an easily-forgotten `digest_dyn`
-/// method whose omissions would silently merge distinct states (unsound
-/// dedup — the checker would skip unexplored states), the erased path simply
-/// has **no** digest: `Box<dyn DynRobot>` implements [`Robot`] but not
-/// `Hash`/`Clone`, so it cannot be model-checked, and the compiler enforces
-/// that. Exhaustive checking runs monomorphized — `gather-check` constructs
-/// the concrete robot types directly, where `#[derive(Hash)]` covers every
-/// internal field by construction and a new field cannot be forgotten.
-pub trait DynRobot: Send {
-    /// This robot's label.
-    fn id_dyn(&self) -> RobotId;
-    /// Publish this round's announcement (erased).
-    fn announce_dyn(&mut self, obs: &Observation) -> DynMsg;
-    /// [`DynRobot::announce_dyn`], reusing `slot`'s allocation when it is
-    /// uniquely owned and already holds this robot's message type (the
-    /// common case: the engine recycles each robot's own last announcement).
-    /// The default ignores the slot and allocates.
-    fn announce_dyn_reuse(&mut self, obs: &Observation, slot: DynMsg) -> DynMsg {
-        let _ = slot;
-        self.announce_dyn(obs)
-    }
-    /// Read co-located announcements and decide this round's action.
-    fn decide_dyn(&mut self, obs: &Observation, inbox: Inbox<'_, DynMsg>) -> Action;
-    /// See [`Robot::has_terminated`].
-    fn has_terminated_dyn(&self) -> bool;
-    /// See [`Robot::memory_estimate_bits`].
-    fn memory_estimate_bits_dyn(&self) -> usize;
-}
-
-impl<R> DynRobot for R
-where
-    R: Robot + Send,
-    R::Msg: Any + Send + Sync,
-{
-    fn id_dyn(&self) -> RobotId {
-        self.id()
-    }
-
-    fn announce_dyn(&mut self, obs: &Observation) -> DynMsg {
-        DynMsg::new(self.announce(obs))
-    }
-
-    fn announce_dyn_reuse(&mut self, obs: &Observation, mut slot: DynMsg) -> DynMsg {
-        match slot.try_overwrite(self.announce(obs)) {
-            Ok(()) => slot,
-            // Someone still holds a reference to the old payload (or the
-            // slot carried a foreign type): fall back to a fresh allocation.
-            Err(msg) => DynMsg::new(msg),
-        }
-    }
-
-    fn decide_dyn(&mut self, obs: &Observation, inbox: Inbox<'_, DynMsg>) -> Action {
-        // Messages of foreign types are dropped lazily during iteration; the
-        // inbox stays sorted by robot id because downcasting preserves order.
-        self.decide(obs, inbox.downcast::<R::Msg>())
-    }
-
-    fn has_terminated_dyn(&self) -> bool {
-        self.has_terminated()
-    }
-
-    fn memory_estimate_bits_dyn(&self) -> usize {
-        self.memory_estimate_bits()
-    }
-}
-
-impl Robot for Box<dyn DynRobot> {
-    type Msg = DynMsg;
-
-    /// Erased announcements are `Arc`-backed, so recycling their storage is
-    /// what keeps the erased round loop allocation-free.
-    const REUSES_MSG_STORAGE: bool = true;
-
-    fn id(&self) -> RobotId {
-        self.as_ref().id_dyn()
-    }
-
-    fn announce(&mut self, obs: &Observation) -> DynMsg {
-        self.as_mut().announce_dyn(obs)
-    }
-
-    fn announce_reuse(&mut self, obs: &Observation, prev: Option<DynMsg>) -> DynMsg {
-        match prev {
-            Some(slot) => self.as_mut().announce_dyn_reuse(obs, slot),
-            None => self.as_mut().announce_dyn(obs),
-        }
-    }
-
-    fn decide(&mut self, obs: &Observation, inbox: Inbox<'_, DynMsg>) -> Action {
-        self.as_mut().decide_dyn(obs, inbox)
-    }
-
-    fn has_terminated(&self) -> bool {
-        self.as_ref().has_terminated_dyn()
-    }
-
-    fn memory_estimate_bits(&self) -> usize {
-        self.as_ref().memory_estimate_bits_dyn()
     }
 }
 
@@ -537,80 +282,5 @@ mod tests {
         assert_eq!(empty.len(), 0);
         assert!(empty.is_empty());
         assert!(empty.get(1).is_none());
-    }
-
-    /// Echoes the largest id it has heard (exercising typed inboxes through
-    /// the erased layer).
-    struct Echo {
-        id: RobotId,
-        heard_max: RobotId,
-    }
-
-    impl Robot for Echo {
-        type Msg = RobotId;
-
-        fn id(&self) -> RobotId {
-            self.id
-        }
-
-        fn announce(&mut self, _obs: &Observation) -> RobotId {
-            self.id
-        }
-
-        fn decide(&mut self, _obs: &Observation, inbox: Inbox<'_, RobotId>) -> Action {
-            for (_, &m) in inbox.iter() {
-                self.heard_max = self.heard_max.max(m);
-            }
-            Action::Stay
-        }
-    }
-
-    #[test]
-    fn erased_robots_roundtrip_their_messages() {
-        let obs = Observation {
-            round: 0,
-            n: 4,
-            degree: 2,
-            entry_port: None,
-            colocated: 1,
-        };
-        let mut a: Box<dyn DynRobot> = Box::new(Echo {
-            id: 3,
-            heard_max: 0,
-        });
-        let mut b: Box<dyn DynRobot> = Box::new(Echo {
-            id: 9,
-            heard_max: 0,
-        });
-        assert_eq!(Robot::id(&a), 3);
-        let msg_b = b.announce(&obs);
-        let inbox = vec![(9u64, msg_b)];
-        let action = a.decide(&obs, Inbox::from_slice(&inbox));
-        assert_eq!(action, Action::Stay);
-        assert!(!a.has_terminated());
-        assert_eq!(a.memory_estimate_bits(), 0);
-    }
-
-    #[test]
-    fn foreign_messages_are_dropped_by_the_erased_inbox() {
-        let obs = Observation {
-            round: 0,
-            n: 4,
-            degree: 1,
-            entry_port: None,
-            colocated: 1,
-        };
-        let mut echo: Box<dyn DynRobot> = Box::new(Echo {
-            id: 1,
-            heard_max: 0,
-        });
-        // A unit-message announcement from a different robot type.
-        let entries = [(2u64, DynMsg::new(())), (4u64, DynMsg::new(7u64))];
-        let erased = Inbox::from_slice(&entries);
-        assert_eq!(erased.downcast::<RobotId>().len(), 1, "only the RobotId");
-        assert!(erased.downcast::<RobotId>().get(2).is_none());
-        assert_eq!(erased.downcast::<RobotId>().get(4), Some(&7u64));
-        let action = echo.decide(&obs, erased);
-        assert_eq!(action, Action::Stay);
     }
 }

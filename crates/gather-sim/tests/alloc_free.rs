@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gather_graph::generators;
-use gather_sim::{Action, DynRobot, Inbox, Observation, Robot, RobotId, SimConfig, Simulator};
+use gather_sim::{Action, Inbox, Observation, Robot, RobotId, SimConfig, Simulator};
 
 struct CountingAllocator;
 
@@ -105,24 +105,6 @@ fn run_scenario(rounds: u64, k: usize, spread: bool) -> u64 {
     after - before
 }
 
-/// The same scenario through the type-erased `DynRobot` layer: every
-/// announcement crosses the `DynMsg` boundary, so this measures the erased
-/// hot path (recycled `Arc` payload slots) rather than the monomorphized
-/// one.
-fn run_scenario_erased(rounds: u64, k: usize, spread: bool) -> u64 {
-    let g = generators::cycle(32).unwrap();
-    let robots: Vec<(Box<dyn DynRobot>, usize)> = make_robots(k, g.n(), spread)
-        .into_iter()
-        .map(|(r, start)| (Box::new(r) as Box<dyn DynRobot>, start))
-        .collect();
-    let sim = Simulator::new(&g, SimConfig::with_max_rounds(rounds));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = sim.run(robots);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(out.rounds, rounds, "scenario must run to its cap");
-    after - before
-}
-
 /// The engine's allocation count for a scenario is deterministic, but the
 /// process-global counter occasionally also sees a stray allocation from the
 /// test harness's own threads landing inside the measured window. Noise is
@@ -155,20 +137,6 @@ fn steady_state_round_loop_performs_zero_heap_allocations() {
         assert!(
             short > 0,
             "sanity: setup/teardown allocations should be visible"
-        );
-    }
-
-    // The erased path must be equally allocation-free: announcement `Arc`s
-    // are recycled round over round (the first round's k allocations are
-    // setup, identical at both caps), so the counts must match exactly.
-    for (k, spread) in [(8, false), (8, true), (1, false)] {
-        let _ = run_scenario_erased(4, k, spread);
-        let short = min_allocs(|| run_scenario_erased(100, k, spread));
-        let long = min_allocs(|| run_scenario_erased(400, k, spread));
-        assert_eq!(
-            short, long,
-            "erased path, k={k} spread={spread}: allocation count grows with \
-             round count — a DynMsg is allocated per round ({short} vs {long})"
         );
     }
 }

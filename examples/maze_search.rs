@@ -33,32 +33,23 @@ impl AlgorithmFactory for InformedFasterFactory {
         "informed_faster"
     }
 
-    fn description(&self) -> &'static str {
-        "Faster-Gathering with a known closest-pair distance (Remark 13)"
-    }
-
-    fn spawn(
+    fn run(
         &self,
         graph: &PortGraph,
         placement: &Placement,
         config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, usize)> {
+        sim_config: SimConfig,
+    ) -> SimOutcome {
         let n = graph.n();
-        placement
+        let robots: Vec<(FasterRobot, usize)> = placement
             .robots
             .iter()
             .map(|&(id, node)| {
-                (
-                    Box::new(FasterRobot::with_known_distance(
-                        id,
-                        n,
-                        config,
-                        self.known_distance,
-                    )) as Box<dyn DynRobot>,
-                    node,
-                )
+                let robot = FasterRobot::with_known_distance(id, n, config, self.known_distance);
+                (robot, node)
             })
-            .collect()
+            .collect();
+        Simulator::new(graph, sim_config).run(robots)
     }
 }
 

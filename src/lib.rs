@@ -116,8 +116,8 @@ pub mod prelude {
         PROTOCOL_VERSION,
     };
     pub use gather_sim::{
-        placement, Action, DynMsg, DynRobot, Inbox, Observation, Placement, PlacementKind, Robot,
-        RobotId, SimConfig, SimOutcome, Simulator,
+        placement, Action, Inbox, Observation, Placement, PlacementKind, Robot, RobotId, SimConfig,
+        SimOutcome, Simulator,
     };
     pub use gather_uxs::{LengthPolicy, Uxs};
 }

@@ -46,13 +46,14 @@
 //!
 //! * [`MemStore`] — a `Mutex<HashMap>`; per-process, used by tests and
 //!   long-running services.
-//! * [`DirStore`] — one `<key>.json` file per entry under a root directory
-//!   (the repo convention is `results/cache/`), holding the entry as
-//!   compact single-line JSON (pretty entries written by older builds
-//!   still read). Writes go through a
-//!   temp-file + atomic rename so concurrent sweep workers and interrupted
-//!   runs can never leave a half-written entry behind; unreadable or corrupt
-//!   entries are treated as misses and recomputed.
+//! * [`DirStore`] — append-only segment files under a root directory (the
+//!   repo convention is `results/cache/`). Each store instance appends
+//!   checksummed records, each holding an entry as compact single-line
+//!   JSON, to a `seg-<pid>-<n>.log` of its own, and indexes every segment
+//!   in the directory in memory, so processes sharing a root serve each
+//!   other's results. A record cut short by a crash reads as a miss; a
+//!   damaged one is skipped and recomputed. `<key>.json` files written by
+//!   older builds (one file per entry, compact or pretty) still read.
 //!
 //! Lookups verify that the stored spec equals the requested spec before a
 //! hit is served, so even a hash collision (or a manually edited file)
@@ -70,12 +71,14 @@
 use crate::scenario::{ScenarioOutcome, ScenarioSpec};
 use gather_obs::{Counter, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, SystemTime};
 
 /// Key-format version tag embedded in every [`spec_key`].
 ///
@@ -373,24 +376,123 @@ impl ResultStore for MemStore {
     }
 }
 
-/// Distinguishes concurrent writers' temp files within one process.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+/// Numbers every segment this process creates, so no two [`DirStore`]
+/// instances in one process (a daemon restarted in-process, two stores on
+/// one root) ever append to the same file.
+static SEGMENT_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// On-disk [`ResultStore`]: one `<key>.json` file per entry under a root
-/// directory (the repo convention is `results/cache/`).
+/// Bytes a record adds around its key and entry: two `u32` lengths in
+/// front, a `u64` checksum behind.
+const RECORD_OVERHEAD: usize = 16;
+
+/// Longest key a record may carry. [`spec_key`]s are 69 bytes; a length
+/// field beyond this marks a damaged record, never an allocation.
+const MAX_KEY_LEN: usize = 1024;
+
+/// The window segment scans read through: a scan never holds more of a
+/// segment than this, however long the segment or a record in it.
+const SCAN_WINDOW: usize = 64 * 1024;
+
+/// How much older than the moment of a listing the root's mtime must be
+/// before an unchanged mtime may skip the next listing. Directory mtimes
+/// come from a coarse clock (a kernel tick, up to 10 ms); filesystems whose
+/// mtimes carry no sub-second part get a margin past their 1–2 s
+/// granularity.
+const FINE_MTIME_MARGIN: Duration = Duration::from_millis(100);
+/// See [`FINE_MTIME_MARGIN`].
+const COARSE_MTIME_MARGIN: Duration = Duration::from_millis(2500);
+
+/// On-disk [`ResultStore`] under a root directory (the repo convention is
+/// `results/cache/`): append-only segment files, plus `<key>.json` files
+/// written by older builds, which still read.
 ///
-/// Writes land in a `.tmp-…` sibling first and are atomically renamed into
-/// place, so a concurrent reader sees either the complete entry or nothing.
-/// Corrupt, truncated or foreign files under the root are treated as misses.
-#[derive(Debug, Clone)]
+/// Each instance appends the records it writes to a segment of its own,
+/// `seg-<pid>-<n>.log`, created on the first [`ResultStore::put`]. A record
+/// is
+///
+/// ```text
+/// key_len: u32 LE | entry_len: u32 LE | key | entry JSON | FNV-1a-64 of all before, u64 LE
+/// ```
+///
+/// with the entry as compact single-line JSON. An in-memory index maps a
+/// 64-bit hash of each key to its record's segment and offset (no key or
+/// entry bytes); a hit is one positioned read from an open segment,
+/// re-verified, key included. (Two keys whose hashes collide cost one of
+/// them its hits, never a wrong result.) On an index miss the instance
+/// first catches up with the directory: it scans the tails of segments
+/// that grew, lists the root for new segments (skipped while the root's
+/// mtime is unchanged and old enough to trust), and only then consults a
+/// legacy `<key>.json` the listing saw. So processes sharing a root see
+/// each other's results.
+///
+/// A tail shorter than its length prefix is a record still being written
+/// (or cut short by a crash): it reads as a miss and is re-examined on the
+/// next catch-up. A complete record that fails its checksum, or whose key
+/// disagrees with its entry, is skipped and counted in
+/// `store_corrupt_total`. Segments only ever grow: if one this instance
+/// knows disappears (the root was removed under a live store), shrinks, or
+/// fails verification on a read, the instance forgets everything it
+/// indexed and re-reads the directory, and its next put goes to a new
+/// segment (recreating the root if need be).
 pub struct DirStore {
     root: PathBuf,
+    state: Mutex<State>,
+}
+
+/// Everything one [`DirStore`] instance knows about its root.
+#[derive(Default)]
+struct State {
+    /// Segments found or created, with how far each has been indexed.
+    segments: Vec<Known>,
+    /// [`key_hash`] → its record. Holds no key or entry bytes: the index
+    /// is rebuilt on every reset, and per-key allocations would fragment
+    /// the heap.
+    index: HashMap<u64, Loc>,
+    /// The [`key_hash`]es of the legacy `<key>.json` files the last listing
+    /// saw.
+    legacy: HashSet<u64>,
+    /// The root's mtime at the last listing, if old enough to trust: while
+    /// the root still shows it, no entry was added since that listing.
+    listed: Option<SystemTime>,
+    /// Position in `segments` of the segment this instance appends to.
+    writer: Option<usize>,
+}
+
+struct Known {
+    seg: Arc<Segment>,
+    /// Bytes of the segment indexed so far: the start of a torn tail, or
+    /// its length.
+    scanned: u64,
+}
+
+/// An open segment file, with the identity it had when opened.
+struct Segment {
+    path: PathBuf,
+    file: File,
+    id: FileId,
+}
+
+/// Where a key's record lives: `len` bytes at `offset` of `segments[seg]`.
+#[derive(Clone, Copy)]
+struct Loc {
+    seg: usize,
+    offset: u64,
+    len: u64,
+}
+
+/// Where a lookup found its key.
+enum Place {
+    Record(Arc<Segment>, Loc),
+    Legacy,
 }
 
 impl DirStore {
     /// A store rooted at `root` (created lazily on first write).
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        DirStore { root: root.into() }
+        DirStore {
+            root: root.into(),
+            state: Mutex::default(),
+        }
     }
 
     /// The directory entries are stored in.
@@ -398,76 +500,529 @@ impl DirStore {
         &self.root
     }
 
-    fn entry_path(&self, key: &str) -> PathBuf {
-        self.root.join(format!("{key}.json"))
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("DirStore lock")
     }
 
-    /// Number of well-formed `.json` entries currently on disk.
+    /// Number of distinct well-formed keys on disk, across segments and
+    /// legacy `<key>.json` files.
     pub fn len(&self) -> usize {
-        fs::read_dir(&self.root)
-            .map(|it| {
-                it.filter_map(|e| e.ok())
-                    .filter(|e| {
-                        let name = e.file_name();
-                        let name = name.to_string_lossy();
-                        name.ends_with(".json") && !name.starts_with(".tmp-")
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
+        let mut state = self.lock();
+        state.catch_up(&self.root, true);
+        let legacy_only = state
+            .legacy
+            .iter()
+            .filter(|hash| !state.index.contains_key(*hash))
+            .count();
+        state.index.len() + legacy_only
     }
 
     /// True if no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn locate(&self, key: &str) -> Option<Place> {
+        let hash = key_hash(key.as_bytes());
+        let mut state = self.lock();
+        if let Some((seg, loc)) = state.record(hash) {
+            if seg.linked_len().is_some() {
+                return Some(Place::Record(seg, loc));
+            }
+            state.reset();
+        }
+        state.catch_up(&self.root, false);
+        match state.record(hash) {
+            Some((seg, loc)) => Some(Place::Record(seg, loc)),
+            None => state.legacy.contains(&hash).then_some(Place::Legacy),
+        }
+    }
+
+    /// Reads and verifies the legacy `<key>.json` file. `Err` if it is
+    /// present but unusable.
+    fn read_legacy(&self, key: &str) -> Result<Option<CacheEntry>, ()> {
+        let Ok(raw) = fs::read_to_string(self.root.join(format!("{key}.json"))) else {
+            return Ok(None);
+        };
+        // A file renamed by hand (or a partially synced directory) must not
+        // serve a result for the wrong spec.
+        match serde_json::from_str::<CacheEntry>(&raw) {
+            Ok(entry) if entry.key == key => Ok(Some(entry)),
+            _ => Err(()),
+        }
+    }
+}
+
+impl Clone for DirStore {
+    /// Another instance on the same root, with a segment of its own.
+    fn clone(&self) -> Self {
+        DirStore::new(self.root.clone())
+    }
+}
+
+impl fmt::Debug for DirStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DirStore")
+            .field("root", &self.root)
+            .finish_non_exhaustive()
+    }
+}
+
+impl State {
+    fn record(&self, hash: u64) -> Option<(Arc<Segment>, Loc)> {
+        let loc = *self.index.get(&hash)?;
+        Some((Arc::clone(&self.segments[loc.seg].seg), loc))
+    }
+
+    /// Forgets everything, keeping the collections' capacity for the
+    /// re-read that follows.
+    fn reset(&mut self) {
+        self.segments.clear();
+        self.index.clear();
+        self.legacy.clear();
+        self.listed = None;
+        self.writer = None;
+    }
+
+    /// Brings the index up to date with the root: scans what known segments
+    /// appended, then lists the root for new segments and legacy files
+    /// unless its mtime proves nothing was added since the last listing
+    /// (`force` lists regardless). Segments only ever grow: if a known one
+    /// shrank or is gone, or the root is, forget everything.
+    fn catch_up(&mut self, root: &Path, force: bool) {
+        for at in 0..self.segments.len() {
+            let known = &self.segments[at];
+            match known.seg.linked_len() {
+                Some(len) if len > known.scanned => self.scan(at, len),
+                Some(len) if len == known.scanned => {}
+                _ => {
+                    self.reset();
+                    break;
+                }
+            }
+        }
+        let now = SystemTime::now();
+        let Ok(mtime) = fs::metadata(root).and_then(|meta| meta.modified()) else {
+            self.reset();
+            return;
+        };
+        if !force && self.listed == Some(mtime) {
+            return;
+        }
+        let Ok(dir) = fs::read_dir(root) else {
+            self.reset();
+            return;
+        };
+        self.legacy.clear();
+        for name in dir.filter_map(|e| e.ok()).map(|e| e.file_name()) {
+            let Some(name) = name.to_str() else { continue };
+            if let Some(key) = name.strip_suffix(".json").filter(|key| !key.is_empty()) {
+                self.legacy.insert(key_hash(key.as_bytes()));
+            } else if name.starts_with("seg-") && name.ends_with(".log") {
+                let path = root.join(name);
+                if self.segments.iter().all(|k| k.seg.path != path) {
+                    if let Some((seg, len)) = Segment::open(path) {
+                        self.segments.push(Known {
+                            seg: Arc::new(seg),
+                            scanned: 0,
+                        });
+                        self.scan(self.segments.len() - 1, len);
+                    }
+                }
+            }
+        }
+        let margin = if mtime_is_coarse(mtime) {
+            COARSE_MTIME_MARGIN
+        } else {
+            FINE_MTIME_MARGIN
+        };
+        self.listed = mtime
+            .checked_add(margin)
+            .is_some_and(|trusted| trusted < now)
+            .then_some(mtime);
+    }
+
+    /// Indexes the verified records of `segments[at]` from where its last
+    /// scan stopped up to `end`, stopping early at a torn tail.
+    fn scan(&mut self, at: usize, end: u64) {
+        let seg = Arc::clone(&self.segments[at].seg);
+        let mut window = Window::new(&seg.file, end);
+        let mut offset = self.segments[at].scanned;
+        while let Some(scanned) = window.record(offset) {
+            match scanned {
+                Scanned::Record(hash, len) => {
+                    self.index.entry(hash).or_insert(Loc {
+                        seg: at,
+                        offset,
+                        len,
+                    });
+                    offset += len;
+                }
+                Scanned::Damaged(len) => {
+                    store_obs().corrupt.inc();
+                    offset += len;
+                }
+                Scanned::Torn => break,
+            }
+        }
+        self.segments[at].scanned = offset;
+    }
+
+    /// The segment this instance appends to, creating the root and a new
+    /// segment if there is none yet or the old one is gone or was changed
+    /// by another hand (so no record is ever appended behind damage).
+    fn writer(&mut self, root: &Path) -> Option<usize> {
+        if let Some(at) = self.writer {
+            let known = &self.segments[at];
+            if known.seg.linked_len() == Some(known.scanned) {
+                return Some(at);
+            }
+            self.reset();
+        }
+        fs::create_dir_all(root).ok()?;
+        let seg = Segment::create(root)?;
+        self.segments.push(Known {
+            seg: Arc::new(seg),
+            scanned: 0,
+        });
+        self.writer = Some(self.segments.len() - 1);
+        self.writer
+    }
+}
+
+impl Segment {
+    /// Creates a segment under a name this process has never used. A name
+    /// left by an earlier process with the same pid is skipped, never
+    /// appended to.
+    fn create(root: &Path) -> Option<Segment> {
+        for _ in 0..1024 {
+            let n = SEGMENT_COUNTER.fetch_add(1, Ordering::Relaxed);
+            let path = root.join(format!("seg-{}-{n}.log", std::process::id()));
+            let opened = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create_new(true)
+                .open(&path);
+            match opened {
+                Ok(file) => {
+                    let id = file_id(&file.metadata().ok()?);
+                    return Some(Segment { path, file, id });
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(_) => return None,
+            }
+        }
+        None
+    }
+
+    /// Opens another instance's segment for reading, with its length.
+    fn open(path: PathBuf) -> Option<(Segment, u64)> {
+        let file = File::open(&path).ok()?;
+        let meta = file.metadata().ok()?;
+        let id = file_id(&meta);
+        Some((Segment { path, file, id }, meta.len()))
+    }
+
+    /// The segment's length, if its path still names the file this handle
+    /// opened. `None` once it was removed (the old handle would otherwise
+    /// go on reading unlinked data) or replaced.
+    fn linked_len(&self) -> Option<u64> {
+        let meta = fs::metadata(&self.path).ok()?;
+        (file_id(&meta) == self.id).then_some(meta.len())
+    }
+
+    /// Reads and verifies the record at `loc`: its entry if it is `key`'s,
+    /// `Ok(None)` if it is another key's (their hashes collide), `Err` if
+    /// it no longer verifies.
+    fn read(&self, loc: Loc, key: &str) -> Result<Option<CacheEntry>, ()> {
+        let mut record = vec![0; usize::try_from(loc.len).map_err(|_| ())?];
+        read_exact_at(&self.file, &mut record, loc.offset).map_err(|_| ())?;
+        let (stored_key, entry) = decode_record(&record).ok_or(())?;
+        if stored_key != key.as_bytes() {
+            return Ok(None);
+        }
+        match serde_json::from_str::<CacheEntry>(entry) {
+            Ok(entry) if entry.key == key => Ok(Some(entry)),
+            _ => Err(()),
+        }
+    }
+}
+
+/// A bounded view of one segment for scanning: holds at most
+/// [`SCAN_WINDOW`] bytes of it at a time.
+struct Window<'f> {
+    file: &'f File,
+    /// The segment's length as the scan found it.
+    end: u64,
+    /// File offset of `buf[0]`.
+    start: u64,
+    buf: Vec<u8>,
+}
+
+impl<'f> Window<'f> {
+    fn new(file: &'f File, end: u64) -> Self {
+        Window {
+            file,
+            end,
+            start: 0,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The `len` bytes at `at` (`len` ≤ [`SCAN_WINDOW`], `at + len` ≤ the
+    /// scanned end), read from the file when the window does not hold them.
+    fn bytes(&mut self, at: u64, len: usize) -> Option<&[u8]> {
+        let held = at >= self.start && at + len as u64 <= self.start + self.buf.len() as u64;
+        if !held {
+            let fill = (self.end - at).min(SCAN_WINDOW as u64) as usize;
+            self.buf.resize(fill, 0);
+            read_exact_at(self.file, &mut self.buf, at).ok()?;
+            self.start = at;
+        }
+        let from = (at - self.start) as usize;
+        self.buf.get(from..from + len)
+    }
+
+    /// The record at `offset`, or `None` at the scanned end.
+    fn record(&mut self, offset: u64) -> Option<Scanned> {
+        if offset >= self.end {
+            return None;
+        }
+        let Some(header) = self
+            .bytes(offset, 8)
+            .map(|b| <[u8; 8]>::try_from(b).expect("8 bytes"))
+        else {
+            return Some(Scanned::Torn);
+        };
+        let key_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let entry_len = u32::from_le_bytes(header[4..].try_into().expect("4 bytes")) as u64;
+        let len = (RECORD_OVERHEAD + key_len) as u64 + entry_len;
+        if offset + len > self.end {
+            return Some(Scanned::Torn);
+        }
+        let mut sum = Fnv::new();
+        sum.update(&header);
+        let body_end = offset + len - 8;
+        let mut at = offset + 8;
+        while at < body_end {
+            let take = (body_end - at).min(SCAN_WINDOW as u64) as usize;
+            let Some(chunk) = self.bytes(at, take) else {
+                return Some(Scanned::Torn);
+            };
+            sum.update(chunk);
+            at += take as u64;
+        }
+        let Some(stored) = self
+            .bytes(body_end, 8)
+            .map(|b| b.try_into().expect("8 bytes"))
+        else {
+            return Some(Scanned::Torn);
+        };
+        if u64::from_le_bytes(stored) != sum.0 || key_len > MAX_KEY_LEN {
+            return Some(Scanned::Damaged(len));
+        }
+        // The key and the start of the entry after it, which must name it.
+        let prefix_len = (ENTRY_KEY_PREFIX.len() + key_len + 1).min(entry_len as usize);
+        let Some(head) = self.bytes(offset + 8, key_len + prefix_len) else {
+            return Some(Scanned::Torn);
+        };
+        let (key, entry) = head.split_at(key_len);
+        Some(if entry_names_key(entry, key) {
+            Scanned::Record(key_hash(key), len)
+        } else {
+            Scanned::Damaged(len)
+        })
+    }
+}
+
+/// What a scan found at one offset.
+enum Scanned {
+    /// A verified record for the key with this [`key_hash`], this many
+    /// bytes long.
+    Record(u64, u64),
+    /// A complete record that fails its checksum or whose key disagrees
+    /// with its entry, this many bytes long.
+    Damaged(u64),
+    /// A record still being written, or cut short by a crash (or a read
+    /// that failed): examined again on the next scan.
+    Torn,
+}
+
+/// How every entry [`DirStore`] writes begins: `key` is [`CacheEntry`]'s
+/// first field.
+const ENTRY_KEY_PREFIX: &[u8] = b"{\"key\":\"";
+
+/// True if compact entry JSON begins by naming `key`.
+fn entry_names_key(entry: &[u8], key: &[u8]) -> bool {
+    entry
+        .strip_prefix(ENTRY_KEY_PREFIX)
+        .and_then(|rest| rest.strip_prefix(key))
+        .is_some_and(|rest| rest.first() == Some(&b'"'))
+}
+
+/// One segment record for `key` with `entry` (compact JSON); `None` if a
+/// length does not fit its field.
+fn encode_record(key: &str, entry: &[u8]) -> Option<Vec<u8>> {
+    if key.len() > MAX_KEY_LEN {
+        return None;
+    }
+    let entry_len = u32::try_from(entry.len()).ok()?;
+    let mut record = Vec::with_capacity(RECORD_OVERHEAD + key.len() + entry.len());
+    record.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    record.extend_from_slice(&entry_len.to_le_bytes());
+    record.extend_from_slice(key.as_bytes());
+    record.extend_from_slice(entry);
+    let mut sum = Fnv::new();
+    sum.update(&record);
+    record.extend_from_slice(&sum.0.to_le_bytes());
+    Some(record)
+}
+
+/// The key and entry JSON of a whole record read back, if it verifies.
+fn decode_record(record: &[u8]) -> Option<(&[u8], &str)> {
+    let (body, stored) = record.split_at(record.len().checked_sub(8)?);
+    let mut sum = Fnv::new();
+    sum.update(body);
+    if u64::from_le_bytes(stored.try_into().ok()?) != sum.0 {
+        return None;
+    }
+    let key_len = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
+    let entry_len = u32::from_le_bytes(body.get(4..8)?.try_into().ok()?) as usize;
+    let rest = body.get(8..)?;
+    if rest.len() != key_len + entry_len {
+        return None;
+    }
+    let (key, entry) = rest.split_at(key_len);
+    Some((key, std::str::from_utf8(entry).ok()?))
+}
+
+/// What the index files a key under.
+fn key_hash(key: &[u8]) -> u64 {
+    let mut sum = Fnv::new();
+    sum.update(key);
+    sum.0
+}
+
+/// FNV-1a, 64-bit: the per-record checksum. It catches any single changed
+/// byte (each step is a bijection of the state), costs about a nanosecond
+/// per byte, and is not meant to resist deliberate forgery — a lookup
+/// still verifies the stored key and spec.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// True for an mtime with no sub-second part: a filesystem that keeps
+/// whole seconds (or two).
+fn mtime_is_coarse(mtime: SystemTime) -> bool {
+    mtime
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map_or(true, |since| since.subsec_nanos() == 0)
+}
+
+/// What tells two files apart while both exist.
+type FileId = (u64, u64);
+
+#[cfg(unix)]
+fn file_id(meta: &fs::Metadata) -> FileId {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino())
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn file_id(meta: &fs::Metadata) -> FileId {
+    use std::os::windows::fs::MetadataExt;
+    (meta.creation_time(), 0)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+        }
+    }
+    Ok(())
 }
 
 impl ResultStore for DirStore {
     fn get(&self, key: &str) -> Option<CacheEntry> {
         let obs = store_obs();
-        let Ok(raw) = fs::read_to_string(self.entry_path(key)) else {
-            obs.misses.inc();
-            return None;
+        // A present-but-unusable entry is a *corrupt* miss: the distinction
+        // separates "cold cache" from "damaged cache" on a dashboard.
+        let found = match self.locate(key) {
+            None => Ok(None),
+            Some(Place::Record(seg, loc)) => seg.read(loc, key).inspect_err(|()| {
+                // The segment changed after it was indexed: re-read the
+                // directory from scratch, and write somewhere fresh.
+                self.lock().reset();
+            }),
+            Some(Place::Legacy) => self.read_legacy(key),
         };
-        // A present-but-unusable file is a *corrupt* miss: the distinction
-        // separates "cold cache" from "damaged cache" on a dashboard. That
-        // covers unparseable JSON and a file renamed by hand (or a partially
-        // synced directory), which must not serve a result for the wrong
-        // spec.
-        let entry = match serde_json::from_str::<CacheEntry>(&raw) {
-            Ok(entry) if entry.key == key => entry,
-            _ => {
+        match found {
+            Ok(Some(entry)) => {
+                obs.hits.inc();
+                Some(entry)
+            }
+            Ok(None) => {
+                obs.misses.inc();
+                None
+            }
+            Err(()) => {
                 obs.corrupt.inc();
                 obs.misses.inc();
-                return None;
+                None
             }
-        };
-        obs.hits.inc();
-        Some(entry)
+        }
     }
 
     fn put(&self, entry: &CacheEntry) {
         store_obs().puts.inc();
-        if fs::create_dir_all(&self.root).is_err() {
-            return;
-        }
-        let Ok(json) = serde_json::to_string(entry) else {
+        let Some(record) = serde_json::to_string(entry)
+            .ok()
+            .and_then(|json| encode_record(&entry.key, json.as_bytes()))
+        else {
             return;
         };
-        let tmp = self.root.join(format!(
-            ".tmp-{}-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-            entry.key
-        ));
-        if fs::write(&tmp, json).is_err() {
-            let _ = fs::remove_file(&tmp);
+        let mut state = self.lock();
+        let Some(at) = state.writer(&self.root) else {
+            return;
+        };
+        let known = &mut state.segments[at];
+        let offset = known.scanned;
+        if (&known.seg.file).write_all(&record).is_err() {
+            // Cut the partial record off and never append here again, so
+            // no reader ever sees records behind a damaged one.
+            let _ = known.seg.file.set_len(offset);
+            state.writer = None;
             return;
         }
-        if fs::rename(&tmp, self.entry_path(&entry.key)).is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
+        known.scanned += record.len() as u64;
+        let loc = Loc {
+            seg: at,
+            offset,
+            len: record.len() as u64,
+        };
+        state.index.insert(key_hash(entry.key.as_bytes()), loc);
     }
 }
 
@@ -488,11 +1043,8 @@ mod tests {
     }
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "gather-cache-test-{tag}-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("gather-cache-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -649,29 +1201,64 @@ mod tests {
         assert_eq!(hit.outcome.outcome.rounds, outcome.outcome.rounds);
     }
 
+    fn demo_entry(seed: u64) -> CacheEntry {
+        let spec = demo_spec().with_seed(seed);
+        let outcome = spec.run_default().unwrap();
+        CacheEntry::new(spec_key(&spec), spec, outcome)
+    }
+
+    /// The segment files under `root`, sorted.
+    fn segment_files(root: &Path) -> Vec<PathBuf> {
+        let mut found: Vec<PathBuf> = fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "log"))
+            .collect();
+        found.sort();
+        found
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        for (data, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut sum = Fnv::new();
+            sum.update(data);
+            assert_eq!(sum.0, want, "{data:?}");
+        }
+    }
+
     #[test]
     fn dir_store_round_trips_and_tolerates_corruption() {
         let root = temp_root("roundtrip");
         let store = DirStore::new(&root);
-        let spec = demo_spec();
-        let key = spec_key(&spec);
+        let entry = demo_entry(7);
+        let key = entry.key.clone();
         assert!(store.get(&key).is_none(), "empty store must miss");
-        let outcome = spec.run_default().unwrap();
-        store.put(&CacheEntry::new(key.clone(), spec.clone(), outcome));
+        assert!(!root.exists(), "a miss creates nothing");
+        store.put(&entry);
         assert_eq!(store.len(), 1);
         assert!(store.get(&key).is_some());
 
-        // Truncate the entry: the store must degrade to a miss, not error.
-        let path = root.join(format!("{key}.json"));
-        let full = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(store.get(&key).is_none(), "truncated entry must miss");
+        // Truncate the record: the store must degrade to a miss, not error,
+        // both for the instance that indexed it and for a fresh one.
+        let [segment] = &segment_files(&root)[..] else {
+            panic!("one segment")
+        };
+        let full = fs::read(segment).unwrap();
+        fs::write(segment, &full[..full.len() / 2]).unwrap();
+        assert!(store.get(&key).is_none(), "truncated record must miss");
+        assert!(DirStore::new(&root).get(&key).is_none());
 
-        // Valid JSON under the wrong file name must also miss.
-        fs::write(&path, &full).unwrap();
+        // Valid JSON under the wrong legacy file name must also miss.
         let other = spec_key(&demo_spec().with_seed(1234));
-        fs::copy(&path, root.join(format!("{other}.json"))).unwrap();
+        let json = serde_json::to_string(&entry).unwrap();
+        fs::write(root.join(format!("{other}.json")), json).unwrap();
         assert!(store.get(&other).is_none(), "renamed entry must miss");
+        assert!(DirStore::new(&root).get(&other).is_none());
 
         let _ = fs::remove_dir_all(&root);
     }
@@ -680,26 +1267,38 @@ mod tests {
     fn dir_store_writes_compact_entries_and_still_hits_pretty_ones() {
         let root = temp_root("compact");
         let store = DirStore::new(&root);
-        let spec = demo_spec();
-        let key = spec_key(&spec);
-        let entry = CacheEntry::new(key.clone(), spec.clone(), spec.run_default().unwrap());
+        let entry = demo_entry(7);
         store.put(&entry);
-        let path = root.join(format!("{key}.json"));
-        let compact = fs::read_to_string(&path).unwrap();
+        let compact = serde_json::to_string(&entry).unwrap();
         assert!(
             !compact.contains('\n'),
             "entries are single-line: {compact}"
         );
-        assert_eq!(compact, serde_json::to_string(&entry).unwrap());
+        // The segment holds exactly one record around the compact entry.
+        let [segment] = &segment_files(&root)[..] else {
+            panic!("one segment")
+        };
+        let record = fs::read(segment).unwrap();
+        assert_eq!(
+            record,
+            encode_record(&entry.key, compact.as_bytes()).unwrap()
+        );
+        assert_eq!(
+            decode_record(&record),
+            Some((entry.key.as_bytes(), compact.as_str()))
+        );
 
-        // An entry as older builds wrote it, pretty-printed, is still a
-        // verified hit with the same outcome.
+        // An entry as older builds wrote it, a pretty `<key>.json`, is still
+        // a verified hit with the same outcome.
+        let legacy = temp_root("compact-legacy");
+        fs::create_dir_all(&legacy).unwrap();
         let pretty = serde_json::to_string_pretty(&entry).unwrap();
         assert!(pretty.len() > compact.len());
-        fs::write(&path, &pretty).unwrap();
+        fs::write(legacy.join(format!("{}.json", entry.key)), &pretty).unwrap();
         let registry = crate::registry::global();
-        let (outcome, hit) = spec
-            .run_cached(registry, &store, CachePolicy::ReadOnly)
+        let (outcome, hit) = entry
+            .spec
+            .run_cached(registry, &DirStore::new(&legacy), CachePolicy::ReadOnly)
             .unwrap();
         assert!(hit, "a pretty entry must be served");
         assert_eq!(
@@ -707,21 +1306,144 @@ mod tests {
             serde_json::to_string(&entry.outcome).unwrap()
         );
         let _ = fs::remove_dir_all(&root);
+        let _ = fs::remove_dir_all(&legacy);
     }
 
     #[test]
     fn dir_store_leaves_no_temp_files_behind() {
         let root = temp_root("tmpfiles");
         let store = DirStore::new(&root);
-        let spec = demo_spec();
-        let outcome = spec.run_default().unwrap();
-        store.put(&CacheEntry::new(spec_key(&spec), spec, outcome));
-        let leftovers: Vec<_> = fs::read_dir(&root)
+        for seed in [1, 2, 3] {
+            store.put(&demo_entry(seed));
+        }
+        // Three puts, one file: the instance's segment, and nothing else.
+        let names: Vec<String> = fs::read_dir(&root)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
+        let pid = std::process::id();
+        assert!(
+            matches!(&names[..], [name] if name.starts_with(&format!("seg-{pid}-")) && name.ends_with(".log")),
+            "{names:?}"
+        );
+        assert_eq!(store.len(), 3);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_store_misses_once_its_root_is_removed_and_recreates_it_on_put() {
+        let root = temp_root("removed");
+        let store = DirStore::new(&root);
+        let entry = demo_entry(7);
+        store.put(&entry);
+        assert!(store.get(&entry.key).is_some());
+        let before = segment_files(&root);
+
+        fs::remove_dir_all(&root).unwrap();
+        assert!(store.get(&entry.key).is_none(), "a removed store must miss");
+        assert!(store.is_empty());
+
+        store.put(&entry);
+        let after = segment_files(&root);
+        assert_eq!(after.len(), 1, "{after:?}");
+        assert_ne!(after, before, "the put lands in a new segment");
+        assert!(store.get(&entry.key).is_some());
+        assert!(DirStore::new(&root).get(&entry.key).is_some());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn two_dir_stores_on_one_root_write_different_segments_and_share_entries() {
+        let root = temp_root("two");
+        let (a, b) = (DirStore::new(&root), DirStore::new(&root));
+        let (first, second, shared) = (demo_entry(1), demo_entry(2), demo_entry(3));
+        a.put(&first);
+        b.put(&second);
+        assert_eq!(segment_files(&root).len(), 2, "one segment per instance");
+        assert!(a.get(&second.key).is_some(), "a serves b's entry");
+        assert!(b.get(&first.key).is_some(), "b serves a's entry");
+
+        // The same key written by both counts once.
+        a.put(&shared);
+        b.put(&shared);
+        assert_eq!(a.len(), 3);
+        assert_eq!(DirStore::new(&root).len(), 3);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_listing_trusts_only_an_mtime_older_than_the_margin() {
+        let root = temp_root("mtime");
+        let (first, second, third) = (demo_entry(1), demo_entry(2), demo_entry(3));
+        DirStore::new(&root).put(&first);
+        let set_mtime = |t| File::open(&root).unwrap().set_modified(t).unwrap();
+        let reader = DirStore::new(&root);
+
+        // An mtime within the margin of the listing proves nothing: a
+        // segment created within the same clock tick (simulated by putting
+        // the mtime back) is still found. (A future mtime stays within the
+        // margin however slowly this test runs.)
+        let fresh = SystemTime::now() + Duration::from_secs(3600);
+        set_mtime(fresh);
+        assert!(reader.get(&second.key).is_none());
+        DirStore::new(&root).put(&second);
+        set_mtime(fresh);
+        assert!(reader.get(&second.key).is_some());
+
+        // An old mtime is trusted until the directory changes.
+        set_mtime(SystemTime::now() - Duration::from_secs(3600));
+        assert!(reader.get(&third.key).is_none());
+        DirStore::new(&root).put(&third);
+        assert!(reader.get(&third.key).is_some());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_record_appended_in_two_halves_misses_then_hits() {
+        let root = temp_root("halves");
+        fs::create_dir_all(&root).unwrap();
+        let entry = demo_entry(7);
+        let json = serde_json::to_string(&entry).unwrap();
+        let record = encode_record(&entry.key, json.as_bytes()).unwrap();
+        // Another process's segment, caught mid-append.
+        let path = root.join("seg-0-0.log");
+        let (head, tail) = record.split_at(record.len() / 2);
+        fs::write(&path, head).unwrap();
+        let reader = DirStore::new(&root);
+        assert!(reader.get(&entry.key).is_none(), "a torn tail is a miss");
+        assert!(reader.is_empty());
+
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(tail).unwrap();
+        assert!(reader.get(&entry.key).is_some(), "the finished record hits");
+        assert_eq!(reader.len(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn legacy_compact_and_pretty_entries_both_hit() {
+        let root = temp_root("legacy");
+        fs::create_dir_all(&root).unwrap();
+        let (compact, pretty) = (demo_entry(1), demo_entry(2));
+        fs::write(
+            root.join(format!("{}.json", compact.key)),
+            serde_json::to_string(&compact).unwrap(),
+        )
+        .unwrap();
+        fs::write(
+            root.join(format!("{}.json", pretty.key)),
+            serde_json::to_string_pretty(&pretty).unwrap(),
+        )
+        .unwrap();
+        let store = DirStore::new(&root);
+        assert_eq!(store.len(), 2);
+        for entry in [&compact, &pretty] {
+            let hit = store.get(&entry.key).expect("a legacy entry hits");
+            assert_eq!(hit.spec, entry.spec);
+        }
+        // A result stored in a segment on top of a legacy one counts once.
+        store.put(&compact);
+        assert_eq!(store.len(), 2);
         let _ = fs::remove_dir_all(&root);
     }
 

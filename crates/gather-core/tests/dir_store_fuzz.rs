@@ -1,19 +1,31 @@
-//! Fixed-seed fuzzing of `DirStore` entries, the trust boundary between a
-//! result cache on disk and the rows a sweep serves.
+//! Fixed-seed fuzzing of `DirStore`, the trust boundary between a result
+//! cache on disk and the rows a sweep serves.
 //!
-//! A valid entry is mutated byte-wise (bit flips, inserted bytes, deleted
-//! bytes, NUL overwrites) and looked up through the verified-hit path. Every
-//! mutation must end as a miss or as a hit whose stored spec equals the
+//! Two layers are mutated byte-wise (bit flips, inserted bytes, deleted
+//! bytes, NUL overwrites) and looked up through the verified-hit path:
+//!
+//! * a legacy `<key>.json` entry, as older builds wrote one. Named cases pin
+//!   the JSON parser's fast paths (escape-free string runs, plain integers)
+//!   against the inputs they must still reject;
+//! * a segment of records, as another process's store appends them: damage
+//!   inside a record, every cut through the last record, length prefixes
+//!   past the end, and a record whose key disagrees with its entry.
+//!
+//! Every case must end as a miss or as a hit whose stored spec equals the
 //! requested spec; nothing may panic. The seeds are fixed, so any failure
-//! reproduces; named cases below pin the parser's fast paths (escape-free
-//! string runs, plain integers) against the inputs they must still reject.
+//! reproduces.
+
+mod mutate;
 
 use gather_core::cache::{spec_key, CacheEntry, CachePolicy, DirStore, ResultStore};
 use gather_core::registry;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec, ScenarioSpec};
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
+use mutate::{mutate, Rng};
 use std::fs;
+use std::io::Write;
+use std::ops::Range;
 use std::path::PathBuf;
 
 fn spec() -> ScenarioSpec {
@@ -23,6 +35,17 @@ fn spec() -> ScenarioSpec {
         AlgorithmSpec::new("faster_gathering"),
     )
     .with_seed(7)
+}
+
+fn entry(spec: &ScenarioSpec) -> CacheEntry {
+    let outcome = spec.run_default().expect("the fixture spec runs");
+    CacheEntry::new(spec_key(spec), spec.clone(), outcome)
+}
+
+fn temp_root(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("gather-store-fuzz-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    root
 }
 
 struct Fixture {
@@ -35,15 +58,13 @@ struct Fixture {
 
 impl Fixture {
     fn new(tag: &str) -> Fixture {
-        let root =
-            std::env::temp_dir().join(format!("gather-store-fuzz-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
+        let root = temp_root(tag);
+        fs::create_dir_all(&root).unwrap();
         let store = DirStore::new(&root);
         let spec = spec();
-        let key = spec_key(&spec);
-        let outcome = spec.run_default().expect("the fixture spec runs");
-        store.put(&CacheEntry::new(key.clone(), spec.clone(), outcome));
-        let entry = fs::read_to_string(root.join(format!("{key}.json"))).unwrap();
+        let entry = entry(&spec);
+        let key = entry.key.clone();
+        let entry = serde_json::to_string(&entry).unwrap();
         Fixture {
             root,
             store,
@@ -53,9 +74,9 @@ impl Fixture {
         }
     }
 
-    /// Stores `bytes` as the entry and looks it up. Returns whether a hit
-    /// was served, after checking that a served hit is exactly the one the
-    /// store returned and carries the requested spec.
+    /// Stores `bytes` as the legacy entry and looks it up. Returns whether a
+    /// hit was served, after checking that a served hit is exactly the one
+    /// the store returned and carries the requested spec.
     fn lookup(&self, bytes: &[u8]) -> bool {
         fs::write(self.root.join(format!("{}.json", self.key)), bytes).unwrap();
         let stored = self.store.get(&self.key);
@@ -92,48 +113,6 @@ impl Drop for Fixture {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.root);
     }
-}
-
-/// SplitMix64, so the mutation schedule is a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-fn mutate(rng: &mut Rng, entry: &[u8]) -> Vec<u8> {
-    let mut bytes = entry.to_vec();
-    for _ in 0..1 + rng.below(3) {
-        let at = rng.below(bytes.len());
-        match rng.below(4) {
-            0 => bytes[at] ^= 1 << rng.below(8),
-            1 => {
-                // Bytes the fast paths branch on, plus arbitrary ones.
-                let pool = [b'"', b'\\', b'0', b'9', b'-', b'.', b'e', 0x01, 0x80, 0xff];
-                let byte = if rng.below(2) == 0 {
-                    pool[rng.below(pool.len())]
-                } else {
-                    rng.next() as u8
-                };
-                bytes.insert(at, byte);
-            }
-            2 => {
-                bytes.remove(at);
-            }
-            _ => bytes[at] = 0,
-        }
-    }
-    bytes
 }
 
 #[test]
@@ -206,4 +185,237 @@ fn a_valid_entry_for_another_spec_is_never_served() {
     let fx = Fixture::new("respec");
     assert!(!fx.lookup(&fx.patched("\"seed\":7", b"\"seed\":8")));
     assert!(!fx.lookup(&fx.patched("faster_gathering", b"uxs_gathering")));
+}
+
+// ---------------------------------------------------------------------------
+// Segment records
+// ---------------------------------------------------------------------------
+
+/// A segment of three records, as another process's store appended them.
+struct SegmentFixture {
+    root: PathBuf,
+    entries: Vec<CacheEntry>,
+    /// The segment's bytes.
+    segment: Vec<u8>,
+    /// Where each record lies in `segment`.
+    records: Vec<Range<usize>>,
+}
+
+impl SegmentFixture {
+    fn new(tag: &str) -> SegmentFixture {
+        let root = temp_root(tag);
+        let entries: Vec<CacheEntry> = [7, 8, 9]
+            .into_iter()
+            .map(|seed| entry(&spec().with_seed(seed)))
+            .collect();
+        let writer = DirStore::new(&root);
+        for entry in &entries {
+            writer.put(entry);
+        }
+        let [segment] = &fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect::<Vec<_>>()[..]
+        else {
+            panic!("one writer, one segment");
+        };
+        let segment = fs::read(segment).unwrap();
+        let mut records = Vec::new();
+        let mut at = 0;
+        while at < segment.len() {
+            let len = |i: usize| {
+                u32::from_le_bytes(segment[at + i..at + i + 4].try_into().unwrap()) as usize
+            };
+            let end = at + 16 + len(0) + len(4);
+            records.push(at..end);
+            at = end;
+        }
+        assert_eq!(records.len(), entries.len());
+        SegmentFixture {
+            root,
+            entries,
+            segment,
+            records,
+        }
+    }
+
+    fn segment_path(&self) -> PathBuf {
+        self.root.join("seg-1-0.log")
+    }
+
+    /// Makes `bytes` the only segment under a fresh root and looks every
+    /// entry up through a fresh store. Returns which entries hit, after
+    /// checking that each hit is exactly the entry that was stored.
+    fn lookup(&self, bytes: &[u8]) -> (DirStore, Vec<bool>) {
+        let _ = fs::remove_dir_all(&self.root);
+        fs::create_dir_all(&self.root).unwrap();
+        fs::write(self.segment_path(), bytes).unwrap();
+        let store = DirStore::new(&self.root);
+        let hits = self.hits(&store);
+        (store, hits)
+    }
+
+    fn hits(&self, store: &DirStore) -> Vec<bool> {
+        self.entries
+            .iter()
+            .map(|want| match store.get(&want.key) {
+                None => false,
+                Some(got) => {
+                    assert_eq!(got.key, want.key);
+                    assert_eq!(got.spec, want.spec);
+                    assert_eq!(
+                        serde_json::to_string(&got.outcome).unwrap(),
+                        serde_json::to_string(&want.outcome).unwrap()
+                    );
+                    true
+                }
+            })
+            .collect()
+    }
+}
+
+impl Drop for SegmentFixture {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.root);
+    }
+}
+
+/// A record in the documented layout, built independently of the store:
+/// `key_len: u32 LE | entry_len: u32 LE | key | entry | FNV-1a-64 u64 LE`.
+fn record(key: &str, entry: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(key.as_bytes());
+    bytes.extend_from_slice(entry.as_bytes());
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &bytes {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+fn corrupt_total() -> u64 {
+    gather_obs::Registry::global()
+        .counter("store_corrupt_total")
+        .get()
+}
+
+#[test]
+fn an_undamaged_segment_hits_every_record() {
+    let fx = SegmentFixture::new("seg-clean");
+    assert_eq!(fx.lookup(&fx.segment).1, [true, true, true]);
+    // The store writes the documented layout.
+    let rebuilt: Vec<u8> = fx
+        .entries
+        .iter()
+        .flat_map(|e| record(&e.key, &serde_json::to_string(e).unwrap()))
+        .collect();
+    assert_eq!(rebuilt, fx.segment);
+}
+
+#[test]
+fn seeded_mutations_inside_a_record_miss_it_and_spare_the_records_before() {
+    let fx = SegmentFixture::new("seg-seeded");
+    for seed in [1u64, 2, 3, 4] {
+        let mut rng = Rng(seed);
+        for _ in 0..48 {
+            let damaged = rng.below(fx.records.len());
+            let range = fx.records[damaged].clone();
+            let mutated = mutate(&mut rng, &fx.segment[range.clone()]);
+            let same_length = mutated.len() == range.len();
+            let mut bytes = fx.segment[..range.start].to_vec();
+            bytes.extend_from_slice(&mutated);
+            bytes.extend_from_slice(&fx.segment[range.end..]);
+            let (store, hits) = fx.lookup(&bytes);
+            // A damaged record is never indexed, so never counted.
+            let verified = hits.iter().filter(|&&h| h).count();
+            assert_eq!(store.len(), verified, "seed {seed}: {hits:?}");
+            assert!(hits[..damaged].iter().all(|&h| h), "seed {seed}: {hits:?}");
+            if mutated != fx.segment[range] {
+                assert!(!hits[damaged], "seed {seed}: a damaged record hit");
+            }
+            // A record whose length fields survived is skipped, and the
+            // scan goes on past it.
+            let header_intact = bytes[fx.records[damaged].start..][..8]
+                == fx.segment[fx.records[damaged].start..][..8];
+            if same_length && header_intact {
+                assert!(
+                    hits[damaged + 1..].iter().all(|&h| h),
+                    "seed {seed}: {hits:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_cut_through_the_last_record_misses_it_until_the_rest_is_appended() {
+    let fx = SegmentFixture::new("seg-cuts");
+    let last = fx.records.last().unwrap().clone();
+    for cut in last {
+        let (store, hits) = fx.lookup(&fx.segment[..cut]);
+        assert_eq!(hits, [true, true, false], "cut at {cut}");
+        let mut file = fs::OpenOptions::new()
+            .append(true)
+            .open(fx.segment_path())
+            .unwrap();
+        file.write_all(&fx.segment[cut..]).unwrap();
+        assert_eq!(fx.hits(&store), [true, true, true], "cut at {cut}");
+    }
+}
+
+#[test]
+fn a_length_prefix_past_the_end_is_a_torn_tail() {
+    let fx = SegmentFixture::new("seg-past-eof");
+    for (damaged, field) in [(2, 4), (2, 0), (1, 4), (1, 0)] {
+        for len in [u32::MAX, (fx.segment.len() as u32) + 1] {
+            let mut bytes = fx.segment.clone();
+            let at = fx.records[damaged].start + field;
+            bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            let (_, hits) = fx.lookup(&bytes);
+            let want: Vec<bool> = (0..fx.records.len()).map(|i| i < damaged).collect();
+            assert_eq!(hits, want, "record {damaged}, field {field}, length {len}");
+        }
+    }
+}
+
+#[test]
+fn a_record_whose_key_disagrees_with_its_entry_is_skipped_and_counted() {
+    let fx = SegmentFixture::new("seg-rekeyed");
+    let json = |i: usize| serde_json::to_string(&fx.entries[i]).unwrap();
+    let mut bytes = record(&fx.entries[0].key, &json(0));
+    bytes.extend(record(&fx.entries[1].key, &json(2)));
+    bytes.extend(record(&fx.entries[2].key, &json(2)));
+    let corrupt = corrupt_total();
+    let (store, hits) = fx.lookup(&bytes);
+    assert_eq!(hits, [true, false, true]);
+    assert!(
+        corrupt_total() > corrupt,
+        "the rekeyed record counts as damage"
+    );
+    assert_eq!(store.len(), 2);
+}
+
+#[test]
+fn a_record_changed_after_it_was_indexed_misses_and_the_rest_still_hit() {
+    let fx = SegmentFixture::new("seg-changed");
+    let (store, hits) = fx.lookup(&fx.segment);
+    assert_eq!(hits, [true, true, true]);
+    // Same length, valid JSON, another outcome: only the checksum tells.
+    let record = &fx.segment[fx.records[1].clone()];
+    let at = fx.records[1].start
+        + record
+            .windows(9)
+            .position(|w| w == b"\"rounds\":")
+            .expect("an outcome field")
+        + 9;
+    let mut bytes = fx.segment.clone();
+    bytes[at] = if bytes[at] == b'1' { b'2' } else { b'1' };
+    fs::write(fx.segment_path(), &bytes).unwrap();
+    assert_eq!(fx.hits(&store), [true, false, true]);
+    assert_eq!(store.len(), 2, "the re-read skips the changed record");
+    store.put(&fx.entries[1]);
+    assert_eq!(fx.hits(&store), [true, true, true]);
 }

@@ -86,11 +86,11 @@ fn corrupt_entries_fall_back_to_recomputation_and_are_repaired() {
     let sweep = demo_sweep().cache(store.clone(), CachePolicy::ReadWrite);
     let first = sweep.run_default();
 
-    // Corrupt every stored entry: truncate half of each file.
+    // Corrupt every stored entry: invert every byte of each file.
     for entry in fs::read_dir(&root).unwrap() {
         let path = entry.unwrap().path();
-        let raw = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() / 3]).unwrap();
+        let raw: Vec<u8> = fs::read(&path).unwrap().iter().map(|b| !b).collect();
+        fs::write(&path, raw).unwrap();
     }
 
     let second = sweep.run_default();

@@ -24,19 +24,26 @@
 //! Scenarios are chosen to stress the engine itself, not the algorithms:
 //! large `k` with heavy co-location (message fan-out is `O(k²)` per round),
 //! large dispersed swarms (occupancy rebuilds), and a mid-size composed
-//! `faster_gathering` run (deep per-robot state machines).
+//! `faster_gathering` run (deep per-robot state machines). They time what
+//! one round costs, so their robots make no idle-round promises and every
+//! round is stepped: two of them would otherwise be a single jump. Each row
+//! records the rounds stepped next to the rounds simulated, and the gate
+//! compares stepped rounds per second. The sweep probe runs the engine as
+//! users do, jumps included.
 
 use gather_bench::{quick_mode, results_dir};
 use gather_core::artifact::ArtifactStats;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
 use gather_core::sweep::Sweep;
-use gather_core::{registry, GatherConfig};
+use gather_core::{Algorithm, GatherConfig, RobotVisitor};
 use gather_graph::generators::{self, Family};
+use gather_graph::NodeId;
 use gather_graph::PortGraph;
 use gather_obs::MetricSample;
 use gather_sim::placement::{self, Placement, PlacementKind};
-use gather_sim::SimConfig;
+use gather_sim::{Action, Inbox, Observation, Robot, RobotId, SimConfig, SimOutcome, Simulator};
 use serde::{Deserialize, Serialize};
+use std::hash::Hash;
 use std::time::Instant;
 
 /// One engine-stress scenario definition.
@@ -56,12 +63,25 @@ struct ScenarioRow {
     n: usize,
     k: usize,
     max_rounds: u64,
+    /// Rounds simulated, as `SimOutcome::rounds` counts them.
     rounds: u64,
+    /// Rounds the engine stepped; the rest were idle-round jumps. Absent in
+    /// reports from before jumps existed, when every round was stepped.
+    rounds_stepped: Option<u64>,
     messages: u64,
     total_moves: u64,
     elapsed_ms: f64,
+    /// Rounds simulated per second. Jumps raise it without making a round
+    /// cheaper; [`ScenarioRow::stepped_per_sec`] is the per-round speed.
     rounds_per_sec: f64,
     speedup_vs_baseline: Option<f64>,
+}
+
+impl ScenarioRow {
+    /// Stepped rounds per second: what one engine round costs.
+    fn stepped_per_sec(&self) -> f64 {
+        self.rounds_stepped.unwrap_or(self.rounds) as f64 / (self.elapsed_ms / 1e3)
+    }
 }
 
 /// Timed result of the sweep-throughput probe.
@@ -191,16 +211,64 @@ fn stress_matrix(quick: bool) -> Vec<Stress> {
     out
 }
 
-/// Times one scenario: a warm-up run, then `iters` timed runs; keeps the
-/// fastest (the run least disturbed by the OS).
+/// A built-in robot that makes no idle-round promise, so the engine steps
+/// it every round.
+#[derive(Clone, Hash)]
+struct Stepped<R>(R);
+
+impl<R: Robot> Robot for Stepped<R> {
+    type Msg = R::Msg;
+
+    fn id(&self) -> RobotId {
+        self.0.id()
+    }
+
+    fn announce(&mut self, obs: &Observation) -> R::Msg {
+        self.0.announce(obs)
+    }
+
+    fn decide(&mut self, obs: &Observation, inbox: Inbox<'_, R::Msg>) -> Action {
+        self.0.decide(obs, inbox)
+    }
+
+    fn has_terminated(&self) -> bool {
+        self.0.has_terminated()
+    }
+
+    fn memory_estimate_bits(&self) -> usize {
+        self.0.memory_estimate_bits()
+    }
+}
+
+/// Runs the visited robots as [`Stepped`].
+struct SteppedRun<'g>(Simulator<'g>);
+
+impl RobotVisitor for SteppedRun<'_> {
+    type Output = SimOutcome;
+
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> SimOutcome {
+        self.0.run(
+            robots
+                .into_iter()
+                .map(|(r, node)| (Stepped(r), node))
+                .collect(),
+        )
+    }
+}
+
+/// Times one scenario, stepping every round: a warm-up run, then `iters`
+/// timed runs; keeps the fastest (the run least disturbed by the OS).
 fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
-    let factory = registry::global().get(s.algorithm).expect("builtin");
+    let algorithm = Algorithm::from_name(s.algorithm).expect("builtin");
     let cfg = GatherConfig::fast();
     let sim = SimConfig::with_max_rounds(s.max_rounds);
-    let mut best: Option<(f64, gather_sim::SimOutcome)> = None;
+    let stepped = gather_obs::Registry::global().counter("engine_rounds_stepped_total");
+    let stepped_before = stepped.get();
+    let mut best: Option<(f64, SimOutcome)> = None;
     for i in 0..=iters {
         let t0 = Instant::now();
-        let out = factory.run(&s.graph, &s.start, &cfg, sim.clone());
+        let simulator = Simulator::new(&s.graph, sim.clone());
+        let out = algorithm.with_robots(&s.graph, &s.start, &cfg, SteppedRun(simulator));
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if i == 0 {
             continue; // warm-up
@@ -210,6 +278,8 @@ fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
         }
     }
     let (elapsed_ms, out) = best.expect("at least one timed iteration");
+    // Every run of a scenario steps the same rounds.
+    let rounds_stepped = (stepped.get() - stepped_before) / (u64::from(iters) + 1);
     ScenarioRow {
         name: s.name.to_string(),
         algorithm: s.algorithm.to_string(),
@@ -217,6 +287,7 @@ fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
         k: s.start.k(),
         max_rounds: s.max_rounds,
         rounds: out.rounds,
+        rounds_stepped: Some(rounds_stepped),
         messages: out.metrics.messages_delivered,
         total_moves: out.metrics.total_moves,
         elapsed_ms,
@@ -403,11 +474,11 @@ fn check() -> i32 {
     let mut failed = false;
     let mut ratios: Vec<(String, f64)> = Vec::new();
     for b in &base.scenarios {
-        if b.rounds_per_sec <= 0.0 {
+        if b.stepped_per_sec() <= 0.0 {
             continue;
         }
         match report.scenarios.iter().find(|r| r.name == b.name) {
-            Some(r) => ratios.push((b.name.clone(), r.rounds_per_sec / b.rounds_per_sec)),
+            Some(r) => ratios.push((b.name.clone(), r.stepped_per_sec() / b.stepped_per_sec())),
             None => {
                 eprintln!("{:<28} missing from the current report", b.name);
                 failed = true;
@@ -510,8 +581,13 @@ fn main() {
         .map(|s| {
             let row = time_scenario(s, iters);
             eprintln!(
-                "{:<28} n={:<4} k={:<4} rounds={:<7} {:>10.1} rounds/sec",
-                row.name, row.n, row.k, row.rounds, row.rounds_per_sec
+                "{:<28} n={:<4} k={:<4} rounds={:<7} stepped={:<7} {:>10.1} rounds/sec",
+                row.name,
+                row.n,
+                row.k,
+                row.rounds,
+                row.rounds_stepped.unwrap_or(row.rounds),
+                row.rounds_per_sec
             );
             row
         })

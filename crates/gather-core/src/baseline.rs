@@ -106,6 +106,22 @@ impl Robot for ExpandingRobot {
     fn memory_estimate_bits(&self) -> usize {
         self.active.memory_bits() + 64 * 4
     }
+
+    /// The hop-meeting phase's promise, capped so that the check round at
+    /// the phase end is always stepped.
+    fn idle_until(&self, obs: &Observation) -> u64 {
+        let phase_end = self.phase_end();
+        if self.finished || self.global_round >= phase_end {
+            return obs.round;
+        }
+        let idle = self.active.idle_rounds(obs);
+        obs.round + idle.min(phase_end - self.global_round)
+    }
+
+    fn skip_idle(&mut self, rounds: u64) {
+        self.global_round += rounds;
+        self.active.skip_idle(rounds);
+    }
 }
 
 #[cfg(test)]

@@ -303,6 +303,35 @@ impl Robot for FasterRobot {
                 ActiveSub::Check => 0,
             }
     }
+
+    /// The active sub-algorithm's promise, capped at the current segment's
+    /// end: the first round of a segment builds a fresh sub-algorithm, and
+    /// check segments decide termination, so both are always stepped.
+    fn idle_until(&self, obs: &Observation) -> u64 {
+        let seg = self.schedule[self.segment_idx];
+        let seg_end = seg.start.saturating_add(seg.len);
+        if self.finished || self.global_round >= seg_end {
+            return obs.round;
+        }
+        let idle = match &self.active {
+            ActiveSub::Undispersed(sub) => sub.idle_rounds(obs),
+            ActiveSub::Hop(sub) => sub.idle_rounds(obs),
+            ActiveSub::Uxs(sub) => sub.idle_rounds(obs),
+            ActiveSub::Check => 0,
+        };
+        obs.round
+            .saturating_add(idle.min(seg_end - self.global_round))
+    }
+
+    fn skip_idle(&mut self, rounds: u64) {
+        self.global_round += rounds;
+        match &mut self.active {
+            ActiveSub::Undispersed(sub) => sub.skip_idle(rounds),
+            ActiveSub::Hop(sub) => sub.skip_idle(rounds),
+            ActiveSub::Uxs(sub) => sub.skip_idle(rounds),
+            ActiveSub::Check => unreachable!("check segments make no promise"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -247,6 +247,36 @@ impl SubAlgorithm for HopMeeting {
         // Counters plus the DFS stack (at most `radius` frames of two words).
         64 * 6 + self.radius * 128
     }
+
+    /// A frozen robot stays put to the end of the procedure, and so does
+    /// every robot once the procedure is over. An alone robot that waits out
+    /// its cycle, or whose DFS is back home, stays put to the cycle's end;
+    /// the first round of a cycle is always stepped, since it picks the
+    /// cycle's bit and rewinds the DFS.
+    fn idle_rounds(&self, obs: &Observation) -> u64 {
+        if self.local_round >= self.duration {
+            return u64::MAX;
+        }
+        if self.frozen {
+            return self.duration - self.local_round;
+        }
+        if obs.colocated > 0 || self.cycle_len == 0 {
+            // About to freeze (never the case after a quiet round), or a
+            // degenerate empty cycle: step.
+            return 0;
+        }
+        let pos_in_cycle = self.local_round % self.cycle_len;
+        if pos_in_cycle == 0 || (self.exploring && !self.dfs.is_done()) {
+            return 0;
+        }
+        self.cycle_len - pos_in_cycle
+    }
+
+    fn skip_idle(&mut self, rounds: u64) {
+        if self.local_round < self.duration {
+            self.local_round += rounds;
+        }
+    }
 }
 
 /// Standalone [`Robot`] wrapper around [`HopMeeting`], used by the
@@ -292,6 +322,14 @@ impl Robot for HopMeetingRobot {
 
     fn memory_estimate_bits(&self) -> usize {
         self.inner.memory_bits()
+    }
+
+    fn idle_until(&self, obs: &Observation) -> u64 {
+        obs.round.saturating_add(self.inner.idle_rounds(obs))
+    }
+
+    fn skip_idle(&mut self, rounds: u64) {
+        SubAlgorithm::skip_idle(&mut self.inner, rounds);
     }
 }
 

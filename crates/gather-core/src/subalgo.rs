@@ -39,6 +39,16 @@ pub trait SubAlgorithm {
     fn memory_bits(&self) -> usize {
         0
     }
+
+    /// How many rounds, starting with the one `obs` describes, this
+    /// sub-algorithm promises to stay quiet: the [`gather_sim::Robot::idle_until`]
+    /// promise, counted in rounds so that a composing robot can cap it at
+    /// its own segment end. `0` makes no promise.
+    fn idle_rounds(&self, obs: &Observation) -> u64;
+
+    /// Advances over `rounds` promised quiet rounds, exactly as stepping
+    /// them would ([`gather_sim::Robot::skip_idle`]).
+    fn skip_idle(&mut self, rounds: u64);
 }
 
 #[cfg(test)]

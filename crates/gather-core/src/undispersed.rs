@@ -415,6 +415,36 @@ impl SubAlgorithm for UndispersedGathering {
             .unwrap_or(0);
         mapper_bits + tour_bits + 64 * 8
     }
+
+    /// Phase 1 only: waiters and helpers wait for their finder, and a
+    /// finder whose map is complete and who holds no pre-committed token
+    /// move has nothing left to do. The promise ends at round `R1 - 1`, in
+    /// which finders prepare their tour, so that round is stepped. A helper
+    /// moves only on its finder's token move, which a promising finder
+    /// never holds.
+    fn idle_rounds(&self, _obs: &Observation) -> u64 {
+        if !self.in_phase1() {
+            return 0;
+        }
+        let idle = match self.role {
+            Role::Waiter | Role::Helper => true,
+            Role::Finder => {
+                self.pending_token_move.is_none()
+                    && self.mapper.as_ref().is_some_and(|m| m.is_complete())
+            }
+        };
+        if idle {
+            (self.r1 - 1).saturating_sub(self.local_round)
+        } else {
+            0
+        }
+    }
+
+    /// Phase 1 announcements and idle decisions touch no field but the
+    /// round counter.
+    fn skip_idle(&mut self, rounds: u64) {
+        self.local_round += rounds;
+    }
 }
 
 /// Standalone [`Robot`] running `Undispersed-Gathering` (Theorem 8).
@@ -472,6 +502,14 @@ impl Robot for UndispersedRobot {
 
     fn memory_estimate_bits(&self) -> usize {
         self.inner.memory_bits()
+    }
+
+    fn idle_until(&self, obs: &Observation) -> u64 {
+        obs.round + self.inner.idle_rounds(obs)
+    }
+
+    fn skip_idle(&mut self, rounds: u64) {
+        SubAlgorithm::skip_idle(&mut self.inner, rounds);
     }
 }
 

@@ -195,6 +195,49 @@ impl SubAlgorithm for UxsGathering {
         // from `n`.
         64 * 8
     }
+
+    /// A leader promises the rest of a wait half (or of the final wait,
+    /// up to the round it terminates in). A follower stays put whenever its
+    /// leader does, and its leader is co-located and must promise too, so
+    /// the follower's own promise is unbounded.
+    fn idle_rounds(&self, _obs: &Observation) -> u64 {
+        if self.finished {
+            return 0;
+        }
+        if self.leader != self.id {
+            return u64::MAX;
+        }
+        let two_t = 2 * self.t;
+        let bits = self.bit_count();
+        let r = self.local_round;
+        if two_t == 0 || r >= (bits + 1) * two_t {
+            // About to terminate.
+            return 0;
+        }
+        if r >= bits * two_t {
+            return (bits + 1) * two_t - r;
+        }
+        let block = r / two_t;
+        let pos = r % two_t;
+        let bit = crate::ids::id_bit(self.id, block as usize).expect("block < bit length");
+        // A 1 bit explores the first half and waits the second; a 0 bit
+        // the other way round.
+        match (bit, pos < self.t) {
+            (true, false) => (block + 1) * two_t - r,
+            (false, true) => block * two_t + self.t - r,
+            _ => 0,
+        }
+    }
+
+    /// The round counter moves, and the staged move is cleared as the
+    /// window's first `announce` would clear it: a waiting leader stages
+    /// none and a follower never does, but a robot captured in the quiet
+    /// round may still hold the move it staged as a leader.
+    fn skip_idle(&mut self, rounds: u64) {
+        self.local_round += rounds;
+        self.intended = None;
+        self.terminating = false;
+    }
 }
 
 /// Standalone [`Robot`] running §2.1 gathering-with-detection (Theorem 6).
@@ -249,6 +292,14 @@ impl Robot for UxsGatherRobot {
 
     fn memory_estimate_bits(&self) -> usize {
         self.inner.memory_bits()
+    }
+
+    fn idle_until(&self, obs: &Observation) -> u64 {
+        obs.round.saturating_add(self.inner.idle_rounds(obs))
+    }
+
+    fn skip_idle(&mut self, rounds: u64) {
+        SubAlgorithm::skip_idle(&mut self.inner, rounds);
     }
 }
 

@@ -22,7 +22,14 @@
 //!   per-cycle `BoundedDfs` construction, now one rewound DFS per robot)
 //!   and the embedded UXS segment, entered directly via
 //!   [`FasterRobot::with_known_distance`];
-//! * `expanding_baseline` — its radius-1 hop-meeting phase.
+//! * `expanding_baseline` — its radius-1 hop-meeting phase;
+//! * `faster_gathering` from a dispersed start, inside step 1's Phase 1,
+//!   where every robot waits: the whole window is one idle-round jump, so
+//!   the jump itself must not allocate.
+//!
+//! Idle-round jumps let the engine skip rounds nobody acts in, so each
+//! window also reports how many rounds it actually stepped: the decide-path
+//! windows must still step rounds, and the Phase-1 window must step none.
 
 // A counting `GlobalAlloc` is necessarily `unsafe`; the workspace denies
 // `unsafe_code`, so this test opts back in explicitly.
@@ -34,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gather_core::schedule::{hop_meeting_rounds, undispersed_phase1_rounds};
 use gather_core::{ExpandingRobot, FasterRobot, GatherConfig, UndispersedRobot, UxsGatherRobot};
 use gather_graph::generators;
+use gather_obs::Counter;
 use gather_sim::{Robot, SimConfig, Simulator};
 
 struct CountingAllocator;
@@ -61,13 +69,16 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Runs pre-built robots to `rounds` and returns the allocations the run
 /// performed (setup + rounds + teardown; robot construction is excluded by
-/// building the robots before the measured window).
+/// building the robots before the measured window), plus the rounds the
+/// engine stepped rather than jumped.
 fn alloc_delta<R: Robot>(
     graph: &gather_graph::PortGraph,
     robots: Vec<(R, usize)>,
     rounds: u64,
-) -> u64 {
+    stepped: &Counter,
+) -> (u64, u64) {
     let sim = Simulator::new(graph, SimConfig::with_max_rounds(rounds));
+    let stepped_before = stepped.get();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = sim.run(robots);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
@@ -75,7 +86,7 @@ fn alloc_delta<R: Robot>(
         out.rounds, rounds,
         "scenario must run to its cap (robots terminated early?)"
     );
-    after - before
+    (after - before, stepped.get() - stepped_before)
 }
 
 /// The engine's allocation count for a scenario is deterministic, but the
@@ -87,18 +98,21 @@ fn min_allocs(mut measure: impl FnMut() -> u64) -> u64 {
 }
 
 /// Asserts the rounds in `(lo, hi]` allocate nothing, for one robot builder
-/// on one graph.
-fn check_case<R, F>(name: &str, graph: &gather_graph::PortGraph, mk: F, lo: u64, hi: u64)
+/// on one graph, and returns how many of them the engine stepped.
+fn check_case<R, F>(name: &str, graph: &gather_graph::PortGraph, mk: F, lo: u64, hi: u64) -> u64
 where
     R: Robot,
     F: Fn() -> Vec<(R, usize)>,
 {
     // Warm up process-wide memoized state (shared UXS sequences, shared
-    // faster schedules, lazy statics) outside the measured runs.
-    let _ = alloc_delta(graph, mk(), lo);
+    // faster schedules, lazy statics, the engine's metric handles) outside
+    // the measured runs.
+    let stepped = gather_obs::Registry::global().counter("engine_rounds_stepped_total");
+    let (_, stepped_lo) = alloc_delta(graph, mk(), lo, &stepped);
+    let (_, stepped_hi) = alloc_delta(graph, mk(), hi, &stepped);
 
-    let short = min_allocs(|| alloc_delta(graph, mk(), lo));
-    let long = min_allocs(|| alloc_delta(graph, mk(), hi));
+    let short = min_allocs(|| alloc_delta(graph, mk(), lo, &stepped).0);
+    let long = min_allocs(|| alloc_delta(graph, mk(), hi, &stepped).0);
     assert_eq!(
         short, long,
         "{name}: allocation count grows with round count — the robot \
@@ -107,6 +121,20 @@ where
     assert!(
         short > 0,
         "{name}: sanity — setup allocations should be visible"
+    );
+    stepped_hi - stepped_lo
+}
+
+/// [`check_case`] for a window whose decide path must actually run.
+fn check_stepped_case<R, F>(name: &str, graph: &gather_graph::PortGraph, mk: F, lo: u64, hi: u64)
+where
+    R: Robot,
+    F: Fn() -> Vec<(R, usize)>,
+{
+    let stepped = check_case(name, graph, mk, lo, hi);
+    assert!(
+        stepped > 0,
+        "{name}: every round of ({lo}, {hi}] was jumped; the window no longer exercises decide"
     );
 }
 
@@ -126,7 +154,7 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
     // terminates). Steady state from round 1.
     {
         let g = generators::cycle(32).unwrap();
-        check_case(
+        check_stepped_case(
             "uxs_gathering",
             &g,
             || {
@@ -147,7 +175,7 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
     {
         let g = generators::cycle(16).unwrap();
         let r1 = undispersed_phase1_rounds(16, &cfg);
-        check_case(
+        check_stepped_case(
             "undispersed_gathering",
             &g,
             || {
@@ -169,7 +197,7 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
     {
         let g = generators::cycle(32).unwrap();
         assert!(hop_meeting_rounds(1, 32) > 500, "caps must stay in-segment");
-        check_case(
+        check_stepped_case(
             "faster_gathering (hop segment)",
             &g,
             || {
@@ -187,7 +215,7 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
     // directly via a known distance beyond the hop radii.
     {
         let g = generators::cycle(32).unwrap();
-        check_case(
+        check_stepped_case(
             "faster_gathering (uxs segment)",
             &g,
             || {
@@ -207,7 +235,7 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
     {
         let g = generators::cycle(32).unwrap();
         assert!(hop_meeting_rounds(1, 32) > 500, "caps must stay in-phase");
-        check_case(
+        check_stepped_case(
             "expanding_baseline",
             &g,
             || {
@@ -219,5 +247,26 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
             100,
             500,
         );
+    }
+
+    // §2.3 Faster-Gathering from a dispersed start: in step 1's Phase 1
+    // every robot is a waiter, so after round 1 the engine jumps straight
+    // to the cap — or to `R1 - 1`, where finders would prepare their tour.
+    {
+        let g = generators::cycle(16).unwrap();
+        let r1 = undispersed_phase1_rounds(16, &cfg);
+        let stepped = check_case(
+            "faster_gathering (phase-1 jump)",
+            &g,
+            || {
+                [(2u64, 0usize), (3, 5), (6, 11)]
+                    .into_iter()
+                    .map(|(id, node)| (FasterRobot::new(id, 16, &cfg), node))
+                    .collect()
+            },
+            10,
+            r1 - 10,
+        );
+        assert_eq!(stepped, 0, "the Phase-1 window is one jump");
     }
 }

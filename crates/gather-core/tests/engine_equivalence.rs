@@ -16,6 +16,8 @@
 //! GATHER_GENERATE_FIXTURE=1 cargo test -p gather-core --test engine_equivalence
 //! ```
 
+mod stepwise;
+
 use gather_core::{registry, Algorithm, GatherConfig, RobotVisitor};
 use gather_graph::{generators, NodeId, PortGraph};
 use gather_sim::placement::{self, Placement, PlacementKind};
@@ -176,11 +178,28 @@ fn fixture_path() -> PathBuf {
 }
 
 fn run_case(case: &Case) -> SimOutcome {
-    let factory = registry::global()
-        .get(case.algorithm)
-        .expect("builtin registered");
+    run_case_on(registry::global(), case)
+}
+
+fn run_case_on(registry: &registry::AlgorithmRegistry, case: &Case) -> SimOutcome {
+    let factory = registry.get(case.algorithm).expect("builtin registered");
     let sim = SimConfig::with_max_rounds(case.max_rounds);
     factory.run(&case.graph, &case.start, &GatherConfig::fast(), sim)
+}
+
+/// Idle-round jumps must not move any fixture outcome: every case gives
+/// the same `SimOutcome` JSON when its robots never promise.
+#[test]
+fn idle_jumps_match_stepping_on_every_fixture_case() {
+    let reference = stepwise::stepwise_registry();
+    for case in cases() {
+        assert_eq!(
+            serde_json::to_string(&run_case(&case)).unwrap(),
+            serde_json::to_string(&run_case_on(&reference, &case)).unwrap(),
+            "{}",
+            case.name
+        );
+    }
 }
 
 #[test]

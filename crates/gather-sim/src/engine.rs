@@ -28,6 +28,7 @@ use gather_graph::{NodeId, PortGraph, PortId};
 use gather_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -153,6 +154,17 @@ impl<R: Robot> SimState<R> {
     pub fn all_terminated(&self) -> bool {
         self.terminated.iter().all(|&t| t)
     }
+}
+
+/// What applying a round's actions did, as [`Simulator::run`] needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RoundEffects {
+    /// Some robot terminated while the robots were not all co-located (the
+    /// engine's false-detection flag; see [`StepBuffers::finish_round`]).
+    false_detection: bool,
+    /// No robot moved or terminated: positions, entry ports and terminated
+    /// flags are exactly as they were at the start of the round.
+    quiet: bool,
 }
 
 /// What the occupancy pass of a round observed, before any robot acts.
@@ -286,10 +298,10 @@ impl<R: Robot> StepBuffers<R> {
     /// rewritten per their strategy. `metrics`, when present, accumulates
     /// moves, deliveries and degradation counters.
     ///
-    /// Returns true if some robot terminated this round while the robots
-    /// were not all co-located (the engine's false-detection flag; note it
-    /// reads positions mid-application — a longstanding quirk preserved for
-    /// fixture parity).
+    /// Returns the round's [`RoundEffects`]. Its false-detection flag is set
+    /// if some robot terminated this round while the robots were not all
+    /// co-located (note it reads positions mid-application — a longstanding
+    /// quirk preserved for fixture parity).
     fn finish_round(
         &mut self,
         graph: &PortGraph,
@@ -297,7 +309,7 @@ impl<R: Robot> StepBuffers<R> {
         activation: Activation,
         faults: Option<&EngineFaults>,
         mut metrics: Option<&mut MetricsRecorder>,
-    ) -> bool {
+    ) -> RoundEffects {
         let k = state.k();
         let n = graph.n();
         let round = state.round;
@@ -378,9 +390,10 @@ impl<R: Robot> StepBuffers<R> {
 
         // --- Apply actions simultaneously -----------------------------
         let mut false_detection = false;
+        let mut quiet = true;
         for i in 0..k {
             match self.actions[i] {
-                Action::Stay => {}
+                Action::Stay => continue,
                 Action::Move(p) => {
                     let node = state.positions[i];
                     let deg = graph.degree(node);
@@ -412,9 +425,53 @@ impl<R: Robot> StepBuffers<R> {
                     }
                 }
             }
+            quiet = false;
         }
         state.round = round + 1;
-        false_detection
+        RoundEffects {
+            false_detection,
+            quiet,
+        }
+    }
+
+    /// Jumps `state` over the rounds every live robot promised to spend
+    /// idle (see [`Robot::idle_until`]), given `state` just after a quiet
+    /// round: to the smallest promise, and no later than `cap`. Each live
+    /// robot skips with [`Robot::skip_idle`]. Returns the skipped rounds,
+    /// or `None` when some robot makes no promise past the next round.
+    ///
+    /// After a quiet round every robot's next observation equals the one it
+    /// just had but for `round` (nobody moved), which is what each promise
+    /// is made against. Terminated and crashed robots neither announce nor
+    /// decide, so they need no promise and do not skip.
+    fn jump_idle_rounds(
+        &self,
+        state: &mut SimState<R>,
+        faults: Option<&EngineFaults>,
+        cap: u64,
+    ) -> Option<Range<u64>> {
+        let round = state.round;
+        let live =
+            |i: usize| !state.terminated[i] && !faults.is_some_and(|f| f.is_crashed(i, round));
+        let mut target = cap;
+        for i in (0..state.robots.len()).filter(|&i| live(i)) {
+            if target <= round {
+                return None;
+            }
+            let obs = Observation {
+                round,
+                ..self.observations[i]
+            };
+            target = target.min(state.robots[i].idle_until(&obs));
+        }
+        if target <= round {
+            return None;
+        }
+        for i in (0..state.robots.len()).filter(|&i| live(i)) {
+            state.robots[i].skip_idle(target - round);
+        }
+        state.round = target;
+        Some(round..target)
     }
 
     /// Publishes robot `i`'s announcement for this round under Byzantine
@@ -486,7 +543,10 @@ impl<R: Robot> StepBuffers<R> {
 /// buffer set, which is what keeps the simulation path allocation-free.
 ///
 /// Stop conditions, metrics and tracing are the driver's business, not the
-/// transition's: this computes successor states only.
+/// transition's: this computes successor states only. So are idle-round
+/// jumps: `transition` always executes exactly one round, whatever the
+/// robots promise (see [`Robot::idle_until`]), which keeps the model
+/// checker's states and counts those of the round-by-round semantics.
 ///
 /// **Purity caveat:** crash faults keep the step pure — whether a robot is
 /// crashed is a function of `state.round`, which `SimState`'s `Hash` covers.
@@ -520,6 +580,7 @@ pub fn transition<R: Robot + Clone>(
 struct EngineObs {
     runs: Arc<Counter>,
     rounds: Arc<Counter>,
+    rounds_stepped: Arc<Counter>,
     moves: Arc<Counter>,
     messages: Arc<Counter>,
     rounds_per_sec: Arc<Histogram>,
@@ -535,6 +596,7 @@ fn engine_obs() -> &'static EngineObs {
         EngineObs {
             runs: registry.counter("engine_runs_total"),
             rounds: registry.counter("engine_rounds_total"),
+            rounds_stepped: registry.counter("engine_rounds_stepped_total"),
             moves: registry.counter("engine_moves_total"),
             messages: registry.counter("engine_messages_total"),
             rounds_per_sec: registry.histogram("engine_rounds_per_sec"),
@@ -574,6 +636,19 @@ impl<'g> Simulator<'g> {
     /// in steady state. The scheduler in [`SimConfig`] picks each round's
     /// activation via [`Scheduler::canonical_activation`] (for the default
     /// [`Scheduler::FullySync`] that is always [`Activation::All`]).
+    ///
+    /// **Idle-round jumps.** After a stepped round in which no robot moved
+    /// or terminated, `run` asks every live robot for its promise
+    /// ([`Robot::idle_until`]). If all of them promise past the next round,
+    /// `state.round` jumps to the smallest promise, capped at `max_rounds`
+    /// and at the next crash round of the fault plan; each robot advances
+    /// with [`Robot::skip_idle`], and the skipped rounds add the quiet
+    /// round's message deliveries and wasted activations once per round,
+    /// plus one memory sample if a sampling round falls inside. The
+    /// outcome is identical to stepping those rounds. A robot that makes
+    /// no promise is stepped every round, and nothing jumps while a trace
+    /// is recorded, under a scheduler other than `FullySync`, or under a
+    /// plan with Byzantine robots.
     pub fn run<R: Robot>(&self, robots: Vec<(R, NodeId)>) -> SimOutcome {
         let obs = engine_obs();
         let detail = gather_obs::detail_enabled();
@@ -611,6 +686,14 @@ impl<'g> Simulator<'g> {
         let mut termination_round: Option<u64> = None;
         let mut false_detection = false;
         let mut timed_out = false;
+        let mut rounds_stepped = 0u64;
+        // Jumps repeat a quiet round's effects arithmetically. A trace wants
+        // every round's row, a relaxed scheduler activates a different set
+        // each round, and Byzantine rewriting depends on the round (and on
+        // buffered history), so each of those is stepped round by round.
+        let may_jump = trace.is_none()
+            && self.config.scheduler == Scheduler::FullySync
+            && faults.as_ref().is_none_or(|f| f.byzantine_count() == 0);
 
         loop {
             let observe_start = detail.then(Instant::now);
@@ -670,14 +753,18 @@ impl<'g> Simulator<'g> {
                 s => s.canonical_activation(alive_mask(&state.terminated), state.round),
             };
             let this_round = state.round;
+            let (messages_before, wasted_before) =
+                (metrics.messages_delivered, metrics.wasted_activations);
             let step_start = detail.then(Instant::now);
-            if bufs.finish_round(
+            let effects = bufs.finish_round(
                 self.graph,
                 &mut state,
                 activation,
                 faults.as_ref(),
                 Some(&mut metrics),
-            ) {
+            );
+            rounds_stepped += 1;
+            if effects.false_detection {
                 false_detection = true;
             }
             if let Some(t) = step_start {
@@ -695,6 +782,40 @@ impl<'g> Simulator<'g> {
             if this_round.is_multiple_of(MEMORY_SAMPLE_INTERVAL) {
                 for (i, agent) in state.robots.iter().enumerate() {
                     metrics.record_memory(i, agent.memory_estimate_bits());
+                }
+            }
+
+            // --- Idle-round jump ------------------------------------------
+            // After a quiet round the next rounds start from the same
+            // configuration, so the start-of-round bookkeeping above would
+            // record nothing new until some robot acts. When every live
+            // robot promises to stay put, skip to the earliest promise: no
+            // later than the round cap, and before the next crash changes
+            // who announces.
+            if may_jump && effects.quiet {
+                let cap = faults
+                    .as_ref()
+                    .and_then(|f| f.next_crash_after(this_round))
+                    .map_or(self.config.max_rounds, |c| c.min(self.config.max_rounds));
+                if let Some(skipped) = bufs.jump_idle_rounds(&mut state, faults.as_ref(), cap) {
+                    // Every skipped round repeats the quiet round's
+                    // deliveries and wasted activations exactly.
+                    let len = skipped.end - skipped.start;
+                    metrics.messages_delivered +=
+                        (metrics.messages_delivered - messages_before) * len;
+                    metrics.wasted_activations +=
+                        (metrics.wasted_activations - wasted_before) * len;
+                    // Promised memory stays constant, so one sample stands
+                    // for every sampling round inside the window.
+                    if skipped
+                        .start
+                        .checked_next_multiple_of(MEMORY_SAMPLE_INTERVAL)
+                        .is_some_and(|r| skipped.contains(&r))
+                    {
+                        for (i, agent) in state.robots.iter().enumerate() {
+                            metrics.record_memory(i, agent.memory_estimate_bits());
+                        }
+                    }
                 }
             }
         }
@@ -723,6 +844,7 @@ impl<'g> Simulator<'g> {
         // amortized over the whole run (the per-round path is untouched).
         obs.runs.inc();
         obs.rounds.add(state.round);
+        obs.rounds_stepped.add(rounds_stepped);
         obs.moves.add(metrics_out.total_moves);
         obs.messages.add(metrics_out.messages_delivered);
         let secs = run_start.elapsed().as_secs_f64();
@@ -1503,6 +1625,261 @@ mod tests {
             state2 = step(&g, &state2, Activation::All, Some(&faults));
         }
         assert_eq!(state2.positions, state.positions);
+    }
+
+    /// Sits still except at the rounds listed in `moves_at` (walks out of
+    /// port 0) and at `terminate_at`; with `promise` it promises every
+    /// stretch in between. Memory reads 1 000 bits after an odd number of
+    /// moves and 10 after an even one, so a missed or extra memory sample
+    /// shows in the peak. `decides` counts stepped decisions across clones.
+    #[derive(Clone)]
+    struct Napper {
+        id: RobotId,
+        moves_at: &'static [u64],
+        terminate_at: Option<u64>,
+        promise: bool,
+        round: u64,
+        moves: u64,
+        done: bool,
+        decides: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Napper {
+        fn new(id: RobotId, moves_at: &'static [u64], promise: bool) -> Self {
+            Napper {
+                id,
+                moves_at,
+                terminate_at: None,
+                promise,
+                round: 0,
+                moves: 0,
+                done: false,
+                decides: Arc::default(),
+            }
+        }
+
+        fn decides(&self) -> u64 {
+            self.decides.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Robot for Napper {
+        type Msg = RobotId;
+        fn id(&self) -> RobotId {
+            self.id
+        }
+        fn announce(&mut self, _obs: &Observation) -> RobotId {
+            self.id
+        }
+        fn decide(&mut self, obs: &Observation, _inbox: Inbox<'_, RobotId>) -> Action {
+            self.round = obs.round + 1;
+            self.decides
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.terminate_at.is_some_and(|t| obs.round >= t) {
+                self.done = true;
+                Action::Terminate
+            } else if self.moves_at.contains(&obs.round) {
+                self.moves += 1;
+                Action::Move(0)
+            } else {
+                Action::Stay
+            }
+        }
+        fn has_terminated(&self) -> bool {
+            self.done
+        }
+        fn memory_estimate_bits(&self) -> usize {
+            if self.moves % 2 == 1 {
+                1_000
+            } else {
+                10
+            }
+        }
+        fn idle_until(&self, obs: &Observation) -> u64 {
+            // Promises are asked for only under `FullySync`, where a live
+            // robot decides (or skips) every round.
+            assert_eq!(self.round, obs.round, "skip_idle keeps the robot's clock");
+            if !self.promise {
+                return obs.round;
+            }
+            let next_move = self
+                .moves_at
+                .iter()
+                .copied()
+                .filter(|&r| r >= obs.round)
+                .min();
+            next_move
+                .into_iter()
+                .chain(self.terminate_at)
+                .min()
+                .unwrap_or(u64::MAX)
+                .max(obs.round)
+        }
+        fn skip_idle(&mut self, rounds: u64) {
+            self.round += rounds;
+        }
+    }
+
+    /// Runs `robots` twice, promising and not, and checks the outcomes are
+    /// identical. Returns the promising run's outcome and its stepped
+    /// decisions.
+    fn jump_vs_step(
+        g: &PortGraph,
+        cfg: SimConfig,
+        robots: Vec<(Napper, NodeId)>,
+    ) -> (SimOutcome, u64) {
+        let stepwise: Vec<(Napper, NodeId)> = robots
+            .iter()
+            .map(|(r, node)| {
+                let mut r = r.clone();
+                r.promise = false;
+                r.decides = Arc::default();
+                (r, *node)
+            })
+            .collect();
+        let counters: Vec<Napper> = robots.iter().map(|(r, _)| r.clone()).collect();
+        let jumped = Simulator::new(g, cfg.clone()).run(robots);
+        let stepped = Simulator::new(g, cfg).run(stepwise);
+        assert_eq!(
+            serde_json::to_string(&jumped).unwrap(),
+            serde_json::to_string(&stepped).unwrap(),
+            "jumps must not change the outcome"
+        );
+        (jumped, counters.iter().map(Napper::decides).sum())
+    }
+
+    #[test]
+    fn a_jump_stops_exactly_at_the_round_cap() {
+        let g = generators::cycle(5).unwrap();
+        let (out, decides) = jump_vs_step(
+            &g,
+            SimConfig::with_max_rounds(1_000),
+            vec![(Napper::new(1, &[], true), 0)],
+        );
+        assert!(out.timed_out);
+        assert_eq!(out.rounds, 1_000);
+        assert_eq!(decides, 1, "round 0 is stepped, then one jump to the cap");
+    }
+
+    #[test]
+    fn jumps_resume_stepping_where_a_robot_acts() {
+        let g = generators::cycle(6).unwrap();
+        let mut quitter = Napper::new(2, &[40], true);
+        quitter.terminate_at = Some(300);
+        let mut sitter = Napper::new(9, &[], true);
+        sitter.terminate_at = Some(300);
+        let (out, decides) = jump_vs_step(
+            &g,
+            SimConfig::with_max_rounds(10_000),
+            vec![(quitter, 0), (sitter, 0)],
+        );
+        assert_eq!(out.metrics.total_moves, 1);
+        assert_eq!(out.termination_round, Some(300));
+        assert!(out.false_detection, "the walker left its partner behind");
+        // Round 0, the move at 40, the quiet round 41, and the termination
+        // at 300, for both robots.
+        assert_eq!(decides, 2 * 4);
+    }
+
+    #[test]
+    fn traced_runs_step_every_round_and_record_one_row_each() {
+        let g = generators::cycle(5).unwrap();
+        let (out, decides) = jump_vs_step(
+            &g,
+            SimConfig::with_max_rounds(200).traced(),
+            vec![(Napper::new(1, &[], true), 0)],
+        );
+        assert_eq!(out.rounds, 200);
+        assert_eq!(out.trace.expect("trace requested").len(), 201);
+        assert_eq!(decides, 200);
+    }
+
+    #[test]
+    fn a_crash_inside_the_window_caps_the_jump() {
+        use crate::faults::FaultPlan;
+        let g = generators::path(3).unwrap();
+        let cfg = SimConfig::with_max_rounds(1_000).with_faults(FaultPlan::new(0).crash(1, 500));
+        let (out, decides) = jump_vs_step(
+            &g,
+            cfg,
+            vec![
+                (Napper::new(1, &[], true), 1),
+                (Napper::new(2, &[], true), 1),
+            ],
+        );
+        assert_eq!(out.rounds, 1_000);
+        // Two co-located announcers for 500 rounds, then one.
+        assert_eq!(out.metrics.messages_delivered, 2 * 500);
+        let d = out.metrics.degradation.expect("faulty run has degradation");
+        assert_eq!(d.wasted_activations, 500);
+        // Both robots step round 0; the survivor steps round 500.
+        assert_eq!(decides, 3);
+    }
+
+    #[test]
+    fn byzantine_plans_and_relaxed_schedulers_never_jump() {
+        use crate::faults::{ByzantineStrategy, FaultPlan};
+        let g = generators::path(3).unwrap();
+        let pair = || {
+            vec![
+                (Napper::new(1, &[], true), 1),
+                (Napper::new(2, &[], true), 1),
+            ]
+        };
+        let byzantine = SimConfig::with_max_rounds(100)
+            .with_faults(FaultPlan::new(3).byzantine(2, ByzantineStrategy::Silent));
+        let (_, decides) = jump_vs_step(&g, byzantine, pair());
+        assert_eq!(decides, 2 * 100);
+        for scheduler in [Scheduler::SemiSync, Scheduler::Sequential] {
+            let cfg = SimConfig::with_max_rounds(100).with_scheduler(scheduler);
+            let (_, decides) = jump_vs_step(&g, cfg, pair());
+            let activations: u64 = (0..100)
+                .map(|r| scheduler.canonical_activation(0b11, r).active_count(2) as u64)
+                .sum();
+            assert_eq!(decides, activations, "{scheduler:?}");
+        }
+    }
+
+    #[test]
+    fn skipped_rounds_repeat_the_quiet_rounds_deliveries() {
+        let g = generators::cycle(8).unwrap();
+        // A co-located pair that splits at round 30 and rejoins at 90, next
+        // to a lone robot: deliveries per round change twice.
+        let (out, decides) = jump_vs_step(
+            &g,
+            SimConfig::with_max_rounds(400),
+            vec![
+                (Napper::new(1, &[30, 90], true), 0),
+                (Napper::new(2, &[], true), 0),
+                (Napper::new(3, &[], true), 4),
+            ],
+        );
+        // Port 0 of node 0 leads to node 1 and back: 2 messages per round
+        // while the pair shares a node.
+        assert_eq!(out.metrics.messages_delivered, 2 * (30 + 1 + 400 - 91));
+        assert!(decides < 3 * 20, "{decides} decisions for 400 rounds");
+    }
+
+    #[test]
+    fn memory_is_sampled_only_when_the_window_spans_a_sampling_round() {
+        let g = generators::cycle(5).unwrap();
+        // Odd move count (1 000 bits) from round 70 on. Moving back at 128
+        // keeps the high reading inside [72, 128), which holds no multiple
+        // of 64: stepping samples round 128 only after the move back, so
+        // the jump to 128 must not sample either.
+        let (out, _) = jump_vs_step(
+            &g,
+            SimConfig::with_max_rounds(300),
+            vec![(Napper::new(1, &[70, 128], true), 0)],
+        );
+        assert_eq!(out.metrics.peak_memory_bits[&1], 10);
+        // Moving back at 129 instead: the window [72, 129) holds round 128.
+        let (out, _) = jump_vs_step(
+            &g,
+            SimConfig::with_max_rounds(300),
+            vec![(Napper::new(1, &[70, 129], true), 0)],
+        );
+        assert_eq!(out.metrics.peak_memory_bits[&1], 1_000);
     }
 
     #[test]

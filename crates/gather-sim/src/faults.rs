@@ -355,6 +355,17 @@ impl EngineFaults {
         self.strategy.iter().filter(|s| s.is_some()).count() as u64
     }
 
+    /// The earliest crash round strictly after `round`, if any robot has
+    /// one: the first round whose crash set differs from `round`'s.
+    pub fn next_crash_after(&self, round: u64) -> Option<u64> {
+        self.crash_round
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&at| at > round)
+            .min()
+    }
+
     /// True when every robot *not* assigned a crash fault occupies one node.
     /// (Vacuously true if every robot is crash-faulted.)
     pub fn survivors_gathered(&self, positions: &[NodeId]) -> bool {

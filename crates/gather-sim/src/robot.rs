@@ -204,6 +204,48 @@ pub trait Robot {
     fn memory_estimate_bits(&self) -> usize {
         0
     }
+
+    /// Promises a quiet stretch: the first round at or after `obs.round` in
+    /// which this robot may act, provided nothing around it changes.
+    ///
+    /// It is asked only right after a stepped round in which no robot moved
+    /// or terminated, so `obs` — the observation the robot would receive at
+    /// the start of round `obs.round` — equals the one its last decision
+    /// saw but for `round`, and its last inbox came from the robots it is
+    /// co-located with now. A return value `b > obs.round` promises the
+    /// following. Suppose that, for every round `r` in `obs.round..b`, the
+    /// robot observes `obs` with only `round` replaced by `r`, and that
+    /// every co-located live robot has made a promise covering `r` too.
+    /// Then in each such round the robot announces one and the same
+    /// message, decides [`Action::Stay`], and reports the same
+    /// [`Robot::memory_estimate_bits`] afterwards. [`Robot::skip_idle`]
+    /// must then reproduce the state those rounds would leave.
+    ///
+    /// [`crate::Simulator::run`] uses promises to jump over rounds in which
+    /// nothing can happen; outcomes are identical to stepping them. An
+    /// unsound promise changes outcomes silently, so a robot promises only
+    /// from state it already has.
+    ///
+    /// The default makes no promise: it returns `obs.round`, and the robot
+    /// is stepped every round.
+    fn idle_until(&self, obs: &Observation) -> u64 {
+        obs.round
+    }
+
+    /// Advances the robot over `rounds` quiet rounds it promised with
+    /// [`Robot::idle_until`], `1 <= rounds <= bound - obs.round`.
+    ///
+    /// Only counters move: the result must equal, field for field (and so
+    /// under `Hash`), the state that stepping those rounds through
+    /// [`Robot::announce`] and [`Robot::decide`] would leave. A robot that
+    /// overrides `idle_until` must override this too; the default panics,
+    /// since the engine only calls it after a promise.
+    fn skip_idle(&mut self, rounds: u64) {
+        panic!(
+            "robot {} promised idle rounds but does not implement skip_idle ({rounds} rounds)",
+            self.id()
+        );
+    }
 }
 
 #[cfg(test)]
@@ -239,6 +281,14 @@ mod tests {
         assert_eq!(r.id(), 7);
         assert!(!r.has_terminated());
         assert_eq!(r.memory_estimate_bits(), 0);
+        let obs = Observation {
+            round: 9,
+            n: 4,
+            degree: 2,
+            entry_port: None,
+            colocated: 0,
+        };
+        assert_eq!(r.idle_until(&obs), 9, "the default makes no promise");
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! environment is offline), so every run exercises the same deterministic
 //! case set and failures reproduce exactly.
 
+#[path = "../crates/gather-core/tests/stepwise/mod.rs"]
+mod stepwise;
+
 use gathering::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -189,6 +192,34 @@ fn schedules_are_monotone() {
 
 // Full end-to-end runs are more expensive; keep the case count small.
 
+/// Runs `algorithm` on one instance and checks that idle-round jumps did
+/// not change the outcome: robots that never promise must give the same
+/// `SimOutcome` JSON.
+fn run_and_compare_with_stepping(
+    algorithm: Algorithm,
+    g: &PortGraph,
+    start: &Placement,
+) -> SimOutcome {
+    let run = |registry: &AlgorithmRegistry| {
+        registry
+            .run(
+                algorithm.name(),
+                g,
+                start,
+                &GatherConfig::fast(),
+                SimConfig::with_max_rounds(2_000_000_000),
+            )
+            .unwrap()
+    };
+    let out = run(registry::global());
+    assert_eq!(
+        serde_json::to_string(&out).unwrap(),
+        serde_json::to_string(&run(&stepwise::stepwise_registry())).unwrap(),
+        "idle-round jumps changed the outcome"
+    );
+    out
+}
+
 #[test]
 fn faster_gathering_is_correct_on_random_small_instances() {
     let mut rng = StdRng::seed_from_u64(0xfa);
@@ -200,15 +231,7 @@ fn faster_gathering_is_correct_on_random_small_instances() {
         let k = k.min(g.n());
         let ids = placement::random_ids(k, g.n(), 2, seed);
         let start = placement::generate(&g, PlacementKind::DispersedRandom, &ids, seed);
-        let out = registry::global()
-            .run(
-                Algorithm::Faster.name(),
-                &g,
-                &start,
-                &GatherConfig::fast(),
-                SimConfig::with_max_rounds(2_000_000_000),
-            )
-            .unwrap();
+        let out = run_and_compare_with_stepping(Algorithm::Faster, &g, &start);
         assert!(out.is_correct_gathering_with_detection(), "{out:?}");
     }
 }
@@ -223,15 +246,7 @@ fn undispersed_gathering_is_correct_on_random_undispersed_instances() {
         let g = generators::random_connected(n, 0.25, seed).unwrap();
         let ids = placement::sequential_ids(k);
         let start = placement::generate(&g, PlacementKind::UndispersedRandom, &ids, seed);
-        let out = registry::global()
-            .run(
-                Algorithm::Undispersed.name(),
-                &g,
-                &start,
-                &GatherConfig::fast(),
-                SimConfig::with_max_rounds(2_000_000_000),
-            )
-            .unwrap();
+        let out = run_and_compare_with_stepping(Algorithm::Undispersed, &g, &start);
         assert!(out.is_correct_gathering_with_detection(), "{out:?}");
     }
 }

@@ -10,13 +10,13 @@
 use gather_bench::{cache_store, sweep_stats_line};
 use gather_core::cache::CachePolicy;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
 use std::sync::Arc;
 
 fn main() {
-    let sweep = Sweep::new()
+    let sweep = SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Grid, 9),
@@ -27,6 +27,7 @@ fn main() {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
+        .into_sweep()
         .cache(Arc::new(cache_store()), CachePolicy::ReadWrite);
 
     let first = sweep.run_default();

@@ -10,7 +10,7 @@
 use gather_bench::{cache_store, quick_mode, sweep_stats_line, Table};
 use gather_core::cache::CachePolicy;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_core::{schedule, Algorithm, GatherConfig};
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
@@ -36,7 +36,7 @@ fn main() {
         (1..=max_distance).map(|i| PlacementSpec::new(PlacementKind::PairAtDistance(i), 2)),
     );
 
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 16),
             GraphSpec::new(Family::Grid, 16),
@@ -44,6 +44,7 @@ fn main() {
         .placements(placements)
         .algorithm(AlgorithmSpec::new(Algorithm::Faster.name()).with_config(config))
         .seeds([3])
+        .into_sweep()
         .cache(Arc::new(cache_store()), CachePolicy::ReadWrite)
         .run_default();
 

@@ -14,7 +14,7 @@ use gather_core::cache::CachePolicy;
 use gather_core::scenario::{
     AlgorithmSpec, GraphSpec, LabelSpec, PlacementSpec, DEFAULT_MAX_ROUNDS,
 };
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_core::{registry, Algorithm, GatherConfig};
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
@@ -32,7 +32,7 @@ fn main() {
     let config = GatherConfig::fast();
     let k = 3;
 
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graphs(
             families
                 .iter()
@@ -45,6 +45,7 @@ fn main() {
         ])
         .algorithm(AlgorithmSpec::new(Algorithm::UxsOnly.name()).with_config(config))
         .seeds([5])
+        .into_sweep()
         .cache(Arc::new(cache_store()), CachePolicy::ReadWrite)
         .run_default();
 

@@ -10,7 +10,7 @@
 
 use gather_bench::{quick_mode, Table};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
 use gather_sim::runner;
@@ -18,7 +18,7 @@ use gather_sim::runner;
 fn main() {
     let max_distance = if quick_mode() { 3 } else { 5 };
 
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Path, 12),
             GraphSpec::new(Family::Cycle, 12),
@@ -32,6 +32,7 @@ fn main() {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([23])
+        .into_sweep()
         .threads(runner::default_threads())
         .run_default();
 

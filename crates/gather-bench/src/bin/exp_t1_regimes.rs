@@ -11,7 +11,7 @@
 
 use gather_bench::{quick_mode, ratio, Table};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_core::{analysis, ids, schedule, GatherConfig};
 use gather_graph::generators::Family;
 use gather_sim::placement::{self, PlacementKind};
@@ -59,7 +59,7 @@ fn main() {
                 .filter(|&k| k >= 2 && k <= n)
                 .collect();
 
-            let report = Sweep::new()
+            let report = SweepSpec::new()
                 .graph(graph_spec)
                 .placements(
                     ks.iter()
@@ -70,6 +70,7 @@ fn main() {
                     AlgorithmSpec::new("uxs_gathering").with_config(config),
                 ])
                 .seeds([master_seed])
+                .into_sweep()
                 .run_default();
 
             // Report order: placement (k) → algorithm, so rows pair up.

@@ -8,7 +8,7 @@
 
 use gather_bench::{fitted_exponent, quick_mode, Table};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_core::{schedule, GatherConfig};
 use gather_graph::generators::Family;
 use gather_map::build_map_offline;
@@ -28,7 +28,7 @@ fn main() {
     ];
     let config = GatherConfig::fast();
 
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graphs(
             families
                 .iter()
@@ -37,6 +37,7 @@ fn main() {
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 4))
         .algorithm(AlgorithmSpec::new("undispersed_gathering").with_config(config))
         .seeds([5])
+        .into_sweep()
         .run_default();
 
     let mut table = Table::new(

@@ -4,7 +4,7 @@
 
 use gather_bench::{quick_mode, ratio, Table};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_core::GatherConfig;
 use gather_graph::generators::Family;
 use gather_map::build_map_offline;
@@ -42,7 +42,7 @@ fn main() {
 
     // One declarative sweep over the whole (family, n) grid; rows come back
     // in axis order, so they pair 1:1 with the loop below.
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graphs(
             families
                 .iter()
@@ -51,6 +51,7 @@ fn main() {
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
         .algorithm(AlgorithmSpec::new("undispersed_gathering").with_config(config))
         .seeds([master_seed])
+        .into_sweep()
         .run_default();
 
     for (spec, row) in report.specs.iter().zip(&report.rows) {

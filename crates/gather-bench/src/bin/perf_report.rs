@@ -30,11 +30,16 @@
 //! records the rounds stepped next to the rounds simulated, and the gate
 //! compares stepped rounds per second. The sweep probe runs the engine as
 //! users do, jumps included.
+//!
+//! Every timing is the best of a few samples after one warm-up run, and
+//! each sample repeats its run until at least [`MIN_SAMPLE`] has passed and
+//! reports the mean run time: a single 10–90 ms run is at the mercy of one
+//! scheduler slice, which made the gate flag regressions on unchanged code.
 
 use gather_bench::{quick_mode, results_dir};
 use gather_core::artifact::ArtifactStats;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::{Sweep, SweepSpec};
 use gather_core::{Algorithm, GatherConfig, RobotVisitor};
 use gather_graph::generators::{self, Family};
 use gather_graph::NodeId;
@@ -44,7 +49,7 @@ use gather_sim::placement::{self, Placement, PlacementKind};
 use gather_sim::{Action, Inbox, Observation, Robot, RobotId, SimConfig, SimOutcome, Simulator};
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One engine-stress scenario definition.
 struct Stress {
@@ -256,30 +261,42 @@ impl RobotVisitor for SteppedRun<'_> {
     }
 }
 
-/// Times one scenario, stepping every round: a warm-up run, then `iters`
-/// timed runs; keeps the fastest (the run least disturbed by the OS).
+/// Shortest wall time one timing sample spans.
+const MIN_SAMPLE: Duration = Duration::from_millis(250);
+
+/// One timing sample: repeats `run` until [`MIN_SAMPLE`] has passed and
+/// returns the mean milliseconds per run.
+fn sample_ms<T>(mut run: impl FnMut() -> T) -> f64 {
+    let started = Instant::now();
+    let mut runs = 0u32;
+    loop {
+        std::hint::black_box(run());
+        runs += 1;
+        let elapsed = started.elapsed();
+        if elapsed >= MIN_SAMPLE {
+            return elapsed.as_secs_f64() * 1e3 / f64::from(runs);
+        }
+    }
+}
+
+/// Times one scenario, stepping every round: a warm-up run, then the
+/// fastest of `iters` samples (the one least disturbed by the OS).
 fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
     let algorithm = Algorithm::from_name(s.algorithm).expect("builtin");
     let cfg = GatherConfig::fast();
     let sim = SimConfig::with_max_rounds(s.max_rounds);
+    let run = || {
+        let simulator = Simulator::new(&s.graph, sim.clone());
+        algorithm.with_robots(&s.graph, &s.start, &cfg, SteppedRun(simulator))
+    };
     let stepped = gather_obs::Registry::global().counter("engine_rounds_stepped_total");
     let stepped_before = stepped.get();
-    let mut best: Option<(f64, SimOutcome)> = None;
-    for i in 0..=iters {
-        let t0 = Instant::now();
-        let simulator = Simulator::new(&s.graph, sim.clone());
-        let out = algorithm.with_robots(&s.graph, &s.start, &cfg, SteppedRun(simulator));
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if i == 0 {
-            continue; // warm-up
-        }
-        if best.as_ref().is_none_or(|(b, _)| ms < *b) {
-            best = Some((ms, out));
-        }
-    }
-    let (elapsed_ms, out) = best.expect("at least one timed iteration");
-    // Every run of a scenario steps the same rounds.
-    let rounds_stepped = (stepped.get() - stepped_before) / (u64::from(iters) + 1);
+    // Every run of a scenario has the same outcome and steps the same rounds.
+    let out = run();
+    let rounds_stepped = stepped.get() - stepped_before;
+    let elapsed_ms = (0..iters)
+        .map(|_| sample_ms(run))
+        .fold(f64::INFINITY, f64::min);
     ScenarioRow {
         name: s.name.to_string(),
         algorithm: s.algorithm.to_string(),
@@ -300,7 +317,7 @@ fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
 /// number measures the engine, not the thread pool.
 fn time_sweep(quick: bool, iters: u32) -> SweepThroughput {
     let sizes: &[usize] = if quick { &[8, 12] } else { &[8, 12, 16] };
-    let sweep = Sweep::new()
+    let sweep = SweepSpec::new()
         .graphs(sizes.iter().map(|&n| GraphSpec::new(Family::Cycle, n)))
         .graphs(sizes.iter().map(|&n| GraphSpec::new(Family::Grid, n)))
         .placements([
@@ -312,19 +329,14 @@ fn time_sweep(quick: bool, iters: u32) -> SweepThroughput {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
+        .into_sweep()
         .threads(1);
-    let mut best_ms = f64::INFINITY;
-    let mut rows = 0usize;
-    for i in 0..=iters {
-        let t0 = Instant::now();
-        let report = sweep.run_default();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(report.all_detected_ok(), "sweep probe must stay green");
-        rows = report.rows.len();
-        if i > 0 && ms < best_ms {
-            best_ms = ms;
-        }
-    }
+    let report = sweep.run_default();
+    assert!(report.all_detected_ok(), "sweep probe must stay green");
+    let rows = report.rows.len();
+    let best_ms = (0..iters)
+        .map(|_| sample_ms(|| sweep.run_default()))
+        .fold(f64::INFINITY, f64::min);
     SweepThroughput {
         rows,
         elapsed_ms: best_ms,
@@ -345,7 +357,7 @@ fn sweep_probe_max_rounds(quick: bool) -> u64 {
 fn sweep_probe_grid(quick: bool) -> Sweep {
     let scale = if quick { 2 } else { 1 };
     let sizes: [usize; 2] = [96 / scale, 128 / scale];
-    Sweep::new()
+    SweepSpec::new()
         .graphs(sizes.iter().map(|&n| GraphSpec::new(Family::Maze, n)))
         .graphs(
             sizes
@@ -372,38 +384,33 @@ fn sweep_probe_grid(quick: bool) -> Sweep {
         ])
         .seeds([1, 2])
         .max_rounds(sweep_probe_max_rounds(quick))
+        .into_sweep()
         .threads(1)
 }
 
 /// Times the probe grid with the instance cache off and on (single-thread,
-/// best of `iters`), asserting the two paths produce byte-identical rows.
+/// best of `iters` samples each, interleaved), asserting the two paths
+/// produce byte-identical rows.
 fn time_sweep_bench(quick: bool, iters: u32) -> SweepBench {
-    let grid = sweep_probe_grid(quick);
+    let on_grid = sweep_probe_grid(quick);
+    let off_grid = on_grid.clone().artifact_cache_off();
+    // The warm-up run also fills memoized UXS sequences and schedules.
+    let off = off_grid.run_default();
+    let on = on_grid.run_default();
+    assert_eq!(
+        serde_json::to_string(&off.rows).expect("rows serialize"),
+        serde_json::to_string(&on.rows).expect("rows serialize"),
+        "artifact-cached rows must be byte-identical to the cache-off path"
+    );
+    let cells = on.rows.len();
+    // Each run uses a fresh per-run instance cache, so every run counts the
+    // same builds and hits.
+    let artifacts = on.stats.artifacts;
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
-    let mut cells = 0usize;
-    let mut artifacts = None;
-    for i in 0..=iters {
-        let t0 = Instant::now();
-        let off = grid.clone().artifact_cache_off().run_default();
-        let off_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let on = grid.run_default();
-        let on_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            serde_json::to_string(&off.rows).expect("rows serialize"),
-            serde_json::to_string(&on.rows).expect("rows serialize"),
-            "artifact-cached rows must be byte-identical to the cache-off path"
-        );
-        cells = on.rows.len();
-        if i == 0 {
-            continue; // warm-up (memoized UXS sequences, schedules, …)
-        }
-        best_off = best_off.min(off_ms);
-        if on_ms < best_on {
-            best_on = on_ms;
-            artifacts = on.stats.artifacts;
-        }
+    for _ in 0..iters {
+        best_off = best_off.min(sample_ms(|| off_grid.run_default()));
+        best_on = best_on.min(sample_ms(|| on_grid.run_default()));
     }
     let side = |ms: f64| SweepBenchSide {
         elapsed_ms: ms,

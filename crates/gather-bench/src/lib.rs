@@ -220,17 +220,18 @@ mod tests {
     #[test]
     fn from_sweep_renders_rows_in_order() {
         use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-        use gather_core::sweep::Sweep;
+        use gather_core::sweep::SweepSpec;
         use gather_graph::generators::Family;
         use gather_sim::PlacementKind;
 
-        let report = Sweep::new()
+        let report = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 6))
             .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
             .algorithms([
                 AlgorithmSpec::new("faster_gathering"),
                 AlgorithmSpec::new("uxs_gathering"),
             ])
+            .into_sweep()
             .threads(1)
             .run_default();
         let table = Table::from_sweep("S0", "sweep bridge", &report);

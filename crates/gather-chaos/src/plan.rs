@@ -233,12 +233,13 @@ impl ChaosPlan {
         if !self.hits(tag::DELAY_HIT, conn, frame, delay.prob_pct) {
             return None;
         }
-        let jitter = if delay.jitter_ms == 0 {
-            0
-        } else {
-            self.roll(tag::DELAY_JITTER, conn, frame) % (delay.jitter_ms + 1)
+        let roll = self.roll(tag::DELAY_JITTER, conn, frame);
+        // `jitter_ms == u64::MAX` spans every draw.
+        let jitter = match delay.jitter_ms.checked_add(1) {
+            Some(span) => roll % span,
+            None => roll,
         };
-        Some(Duration::from_millis(delay.fixed_ms + jitter))
+        Some(Duration::from_millis(delay.fixed_ms.saturating_add(jitter)))
     }
 
     /// The pacing pause after forwarding `len` bytes, if throttled.
@@ -271,7 +272,10 @@ impl ChaosPlan {
     /// empty when the frame is not selected. Positions are deterministic
     /// and in-range; the trailing newline (position `len - 1` of the
     /// wire line) is never targeted, so framing survives and the
-    /// corruption surfaces as a parse error, not a merged line.
+    /// corruption surfaces as a parse error, not a merged line. A frame
+    /// takes at most `len - 1` draws, so `corrupt.bytes` beyond that
+    /// (from a plan file or the command line) costs no more than
+    /// `len - 1`.
     pub fn corrupt_positions(&self, conn: u64, frame: u64, len: usize) -> Vec<usize> {
         let Some(corrupt) = self.corrupt else {
             return Vec::new();
@@ -279,7 +283,7 @@ impl ChaosPlan {
         if len <= 1 || !self.hits(tag::CORRUPT, conn, frame, corrupt.prob_pct) {
             return Vec::new();
         }
-        (0..corrupt.bytes as u64)
+        (0..corrupt.bytes.min(len - 1) as u64)
             .map(|i| {
                 let draw = mix(self.roll(tag::CORRUPT_POS, conn, frame), i);
                 (draw % (len as u64 - 1)) as usize
@@ -409,6 +413,31 @@ mod tests {
         // newline to flip).
         assert!(plan.corrupt_positions(1, 0, 1).is_empty());
         assert!(plan.corrupt_positions(1, 0, 0).is_empty());
+    }
+
+    #[test]
+    fn a_huge_corrupt_byte_count_is_bounded_by_the_frame_length() {
+        let plan = ChaosPlan::new(3).with_corrupt(100, 1 << 20);
+        let positions = plan.corrupt_positions(0, 0, 64);
+        assert!(positions.len() < 64, "{} positions", positions.len());
+        assert!(positions.iter().all(|&pos| pos < 63));
+        // Counts below the frame length draw exactly the same positions as
+        // an unbounded plan would.
+        let small = ChaosPlan::new(3).with_corrupt(100, 5);
+        assert_eq!(small.corrupt_positions(0, 0, 64), positions[..5]);
+    }
+
+    #[test]
+    fn extreme_delays_saturate_instead_of_overflowing() {
+        let plan = ChaosPlan::new(5).with_delay(u64::MAX, u64::MAX, 100);
+        for frame in 0..16 {
+            assert_eq!(
+                plan.frame_delay(0, frame),
+                Some(Duration::from_millis(u64::MAX))
+            );
+        }
+        let wide = ChaosPlan::new(5).with_delay(0, u64::MAX, 100);
+        assert!((0..16).all(|frame| wide.frame_delay(0, frame).is_some()));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use gather_chaos::{ChaosHandle, ChaosPlan, ChaosProxy};
 use gather_coord::{run_sweep, ClientConfig, CoordConfig, CoordError, CoordOutcome};
 use gather_core::cache::{CachePolicy, DirStore};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepSpec};
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_service::server::{Server, ServerConfig};
@@ -43,7 +43,7 @@ const ATTEMPTS_PER_SEED: usize = 3;
 const WATCHDOG: Duration = Duration::from_secs(60);
 
 fn soak_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Grid, 9),
@@ -54,7 +54,6 @@ fn soak_sweep() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2, 3])
-        .to_spec()
 }
 
 fn temp_store_dir(seed: u64) -> PathBuf {

@@ -6,7 +6,7 @@
 
 use gather_chaos::{ChaosPlan, ChaosProxy};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepSpec};
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_service::client::{Client, ClientConfig, ClientError};
 use gather_service::server::{Server, ServerConfig};
@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn demo_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Grid, 9),
@@ -27,7 +27,6 @@ fn demo_sweep() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
-        .to_spec()
 }
 
 fn spawn_daemon() -> (SocketAddr, JoinHandle<std::io::Result<()>>) {

@@ -351,11 +351,7 @@ pub fn run_sweep(spec: &SweepSpec, config: &CoordConfig) -> Result<CoordOutcome,
     let mut deadline_hit = false;
     let mut agg = SweepStats {
         cells: total,
-        cache_hits: 0,
-        simulated: 0,
-        errors: 0,
-        elapsed_ms: 0.0,
-        artifacts: None,
+        ..SweepStats::default()
     };
 
     let stop_reporter = AtomicBool::new(false);
@@ -569,11 +565,7 @@ fn merge(
                     }
                 }
             }
-            Event::Chunk(stats) => {
-                agg.cache_hits += stats.cache_hits;
-                agg.simulated += stats.simulated;
-                agg.errors += stats.errors;
-            }
+            Event::Chunk(stats) => agg.add_counts(&stats),
         }
     }
 }
@@ -1004,7 +996,7 @@ mod tests {
             },
             ..CoordConfig::default()
         };
-        let spec = gather_core::sweep::Sweep::new().to_spec();
+        let spec = gather_core::sweep::SweepSpec::new();
         match run_sweep(&spec, &config) {
             Err(CoordError::NoDaemons) => {}
             other => panic!("expected NoDaemons, got {other:?}"),

@@ -13,7 +13,7 @@
 use gather_coord::{run_sweep, ClientConfig, CoordConfig};
 use gather_core::cache::{CachePolicy, DirStore};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepSpec};
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_service::server::{Server, ServerConfig};
@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn demo_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Grid, 9),
@@ -37,7 +37,6 @@ fn demo_sweep() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2, 3, 4])
-        .to_spec()
 }
 
 fn spawn_daemon(store_dir: &Path) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {

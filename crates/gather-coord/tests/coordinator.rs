@@ -10,7 +10,7 @@
 
 use gather_coord::{run_sweep, ClientConfig, CoordConfig, CoordError};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepRow, SweepSpec};
+use gather_core::sweep::{SweepRow, SweepSpec};
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_service::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn demo_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Grid, 9),
@@ -34,7 +34,6 @@ fn demo_sweep() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
-        .to_spec()
 }
 
 fn spawn_daemon(config: ServerConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {

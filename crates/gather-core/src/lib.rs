@@ -85,6 +85,6 @@ pub use scenario::{
     ScenarioSpec,
 };
 pub use subalgo::{SubAction, SubAlgorithm};
-pub use sweep::{CellRange, Sweep, SweepReport, SweepRow, SweepSpec, SweepStats};
+pub use sweep::{CellKind, CellRange, Sweep, SweepReport, SweepRow, SweepSpec, SweepStats};
 pub use undispersed::{UndispersedGathering, UndispersedRobot};
 pub use uxs_gathering::{UxsGatherRobot, UxsGathering};

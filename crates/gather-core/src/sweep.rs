@@ -1,12 +1,15 @@
 //! Cartesian parameter sweeps over scenario axes, executed in parallel.
 //!
-//! A [`Sweep`] is a builder over the four scenario axes — graphs, placements,
-//! algorithms, seeds — whose cartesian product expands into concrete
-//! [`ScenarioSpec`] values. [`Sweep::run`] distributes those scenarios over
+//! A [`SweepSpec`] is the grid: graphs × placements × algorithms × seeds ×
+//! fault plans plus a shared round cap, built with its axis methods and
+//! serializable as the wire format of the sweep service. Every executor
+//! expands it the same way, cell by cell through [`SweepSpec::cell_at`]
+//! (axis order graph → placement → algorithm → seed → fault plan). A
+//! [`Sweep`] wraps a grid in the execution options of a local run (threads,
+//! result store, instance sharing); [`Sweep::run`] distributes the cells over
 //! the [`gather_sim::runner::run_parallel`] thread pool and returns a
-//! [`SweepReport`] of structured rows in a deterministic order (axis order is
-//! graph → placement → algorithm → seed, independent of thread count), which
-//! `gather-bench`'s `Table` renders directly.
+//! [`SweepReport`] of structured rows in expansion order, independent of
+//! thread count, which `gather-bench`'s `Table` renders directly.
 //!
 //! Sweeps optionally run through a content-addressed [`ResultStore`] (see
 //! [`Sweep::cache`]): cells whose [`crate::cache::spec_key`] is already
@@ -44,15 +47,12 @@ enum ArtifactMode {
     Off,
 }
 
-/// Builder for a cartesian sweep over scenario axes.
+/// A grid plus the execution options of a local run: worker threads, an
+/// optional result store and how built instances are shared. Build one with
+/// [`SweepSpec::into_sweep`].
 #[derive(Clone)]
 pub struct Sweep {
-    graphs: Vec<GraphSpec>,
-    placements: Vec<PlacementSpec>,
-    algorithms: Vec<AlgorithmSpec>,
-    seeds: Vec<u64>,
-    faults: Vec<FaultPlan>,
-    max_rounds: u64,
+    grid: SweepSpec,
     threads: usize,
     cache: Option<Arc<dyn ResultStore>>,
     cache_policy: CachePolicy,
@@ -62,12 +62,7 @@ pub struct Sweep {
 impl fmt::Debug for Sweep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sweep")
-            .field("graphs", &self.graphs)
-            .field("placements", &self.placements)
-            .field("algorithms", &self.algorithms)
-            .field("seeds", &self.seeds)
-            .field("faults", &self.faults)
-            .field("max_rounds", &self.max_rounds)
+            .field("grid", &self.grid)
             .field("threads", &self.threads)
             .field("cache", &self.cache.as_ref().map(|_| "<ResultStore>"))
             .field("cache_policy", &self.cache_policy)
@@ -83,29 +78,7 @@ impl fmt::Debug for Sweep {
     }
 }
 
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep::new()
-    }
-}
-
 impl Sweep {
-    /// An empty sweep: seed 0, default round cap, all available threads.
-    pub fn new() -> Self {
-        Sweep {
-            graphs: Vec::new(),
-            placements: Vec::new(),
-            algorithms: Vec::new(),
-            seeds: vec![0],
-            faults: Vec::new(),
-            max_rounds: DEFAULT_MAX_ROUNDS,
-            threads: runner::default_threads(),
-            cache: None,
-            cache_policy: CachePolicy::Off,
-            artifacts: ArtifactMode::PerRun,
-        }
-    }
-
     /// Shares a caller-supplied [`ArtifactCache`] across this sweep's cells
     /// (and across repeated runs, and with any other executor holding the
     /// same `Arc`). By default each [`Sweep::run`] call already shares one
@@ -135,124 +108,21 @@ impl Sweep {
         self
     }
 
-    /// Adds one graph axis point.
-    pub fn graph(mut self, g: GraphSpec) -> Self {
-        self.graphs.push(g);
-        self
-    }
-
-    /// Adds many graph axis points.
-    pub fn graphs(mut self, gs: impl IntoIterator<Item = GraphSpec>) -> Self {
-        self.graphs.extend(gs);
-        self
-    }
-
-    /// Adds one placement axis point.
-    pub fn placement(mut self, p: PlacementSpec) -> Self {
-        self.placements.push(p);
-        self
-    }
-
-    /// Adds many placement axis points.
-    pub fn placements(mut self, ps: impl IntoIterator<Item = PlacementSpec>) -> Self {
-        self.placements.extend(ps);
-        self
-    }
-
-    /// Adds one algorithm axis point.
-    pub fn algorithm(mut self, a: AlgorithmSpec) -> Self {
-        self.algorithms.push(a);
-        self
-    }
-
-    /// Adds many algorithm axis points.
-    pub fn algorithms(mut self, algos: impl IntoIterator<Item = AlgorithmSpec>) -> Self {
-        self.algorithms.extend(algos);
-        self
-    }
-
-    /// Replaces the seed axis (default: the single seed 0).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        if self.seeds.is_empty() {
-            self.seeds.push(0);
-        }
-        self
-    }
-
-    /// Adds one fault-plan axis point (fault robot labels refer to each
-    /// cell's placement ids). An empty axis — the default — behaves as the
-    /// single fault-free plan and expands to exactly the pre-fault cells.
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.faults.push(plan);
-        self
-    }
-
-    /// Adds many fault-plan axis points.
-    pub fn faults(mut self, plans: impl IntoIterator<Item = FaultPlan>) -> Self {
-        self.faults.extend(plans);
-        self
-    }
-
-    /// Replaces the per-scenario round cap.
-    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
     /// Replaces the worker-thread count (default: available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Expands the axes into concrete scenarios, in the deterministic report
-    /// order: graph → placement → algorithm → seed → fault plan. With the
-    /// default empty fault axis the innermost loop has exactly one
-    /// (fault-free) iteration, so fault-less sweeps expand to the exact
-    /// pre-fault cell list.
-    pub fn specs(&self) -> Vec<ScenarioSpec> {
-        let fault_free = [FaultPlan::default()];
-        let fault_axis: &[FaultPlan] = if self.faults.is_empty() {
-            &fault_free
-        } else {
-            &self.faults
-        };
-        let mut out = Vec::with_capacity(
-            self.graphs.len()
-                * self.placements.len()
-                * self.algorithms.len()
-                * self.seeds.len()
-                * fault_axis.len(),
-        );
-        for &graph in &self.graphs {
-            for &placement in &self.placements {
-                for algorithm in &self.algorithms {
-                    for &seed in &self.seeds {
-                        for faults in fault_axis {
-                            let mut spec = ScenarioSpec::new(graph, placement, algorithm.clone())
-                                .with_seed(seed)
-                                .with_max_rounds(self.max_rounds);
-                            if !faults.is_empty() {
-                                spec = spec.with_faults(faults.clone());
-                            }
-                            out.push(spec);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Runs every scenario over the thread pool and collects one row each.
+    /// Runs every cell of the grid over the thread pool and collects one
+    /// row each.
     ///
     /// Scenario-level failures (infeasible placement, unknown algorithm,
     /// graph construction error) become rows with an `error` instead of
-    /// aborting the whole sweep. Row order equals [`Sweep::specs`] order
+    /// aborting the whole sweep. Row order equals [`SweepSpec::specs`] order
     /// regardless of `threads`.
     pub fn run(&self, registry: &AlgorithmRegistry) -> SweepReport {
-        let specs = self.specs();
+        let specs = self.grid.specs();
         let policy = self.cache_policy;
         // All cells of this run share one instance cache (unless disabled):
         // each distinct (graph spec, seed) is built once, not once per cell.
@@ -288,9 +158,6 @@ impl Sweep {
         let mut rows = Vec::with_capacity(results.len());
         let mut stats = SweepStats {
             cells: results.len(),
-            cache_hits: 0,
-            simulated: 0,
-            errors: 0,
             elapsed_ms,
             artifacts: artifacts.as_deref().map(|cache| {
                 let after = cache.stats();
@@ -307,15 +174,10 @@ impl Sweep {
                     placement_builds: after.placement_builds - before.placement_builds,
                 }
             }),
+            ..SweepStats::default()
         };
         for (spec, row, cache_hit) in results {
-            if row.error.is_some() {
-                stats.errors += 1;
-            } else if cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.simulated += 1;
-            }
+            stats.count(&row, cache_hit);
             specs.push(spec);
             rows.push(row);
         }
@@ -326,31 +188,17 @@ impl Sweep {
     pub fn run_default(&self) -> SweepReport {
         self.run(crate::registry::global())
     }
-
-    /// The serializable mirror of this builder's axes (threads and cache
-    /// wiring are execution details and are not part of the wire value).
-    pub fn to_spec(&self) -> SweepSpec {
-        SweepSpec {
-            graphs: self.graphs.clone(),
-            placements: self.placements.clone(),
-            algorithms: self.algorithms.clone(),
-            seeds: self.seeds.clone(),
-            max_rounds: self.max_rounds,
-            faults: self.faults.clone(),
-        }
-    }
 }
 
-/// A whole sweep grid as one serializable value: the wire format submitted
-/// to the sweep service (`gather-service`) and a convenient way to keep
-/// experiment grids in JSON files.
+/// A whole sweep grid as one serializable value: graphs × placements ×
+/// algorithms × seeds × fault plans, plus the round cap every cell shares.
 ///
-/// `SweepSpec` mirrors the [`Sweep`] builder's axes — graphs × placements ×
-/// algorithms × seeds plus the shared round cap — but carries none of the
-/// execution knobs (thread count, cache wiring): those belong to whoever
-/// runs the grid, not to the grid itself. Convert with
-/// [`SweepSpec::into_sweep`] to execute locally, or expand with
-/// [`SweepSpec::specs`] (same deterministic cell order as [`Sweep::specs`]).
+/// This is the only grid type. Build one with [`SweepSpec::new`] and the
+/// axis methods ([`SweepSpec::graph`], [`SweepSpec::seeds`], …), submit it
+/// to the sweep service (`gather-service`) as is, or keep it in a JSON
+/// file. It carries none of the execution knobs (thread count, cache
+/// wiring): those belong to whoever runs the grid, and
+/// [`SweepSpec::into_sweep`] adds them for a local run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Graph axis points.
@@ -454,29 +302,102 @@ impl fmt::Display for CellRange {
 }
 
 impl SweepSpec {
-    /// An empty grid with seed axis `[0]` and the default round cap.
+    /// An empty grid: seed axis `[0]`, the default round cap, and no fault
+    /// plans.
     pub fn new() -> Self {
-        Sweep::new().to_spec()
+        SweepSpec {
+            graphs: Vec::new(),
+            placements: Vec::new(),
+            algorithms: Vec::new(),
+            seeds: vec![0],
+            max_rounds: DEFAULT_MAX_ROUNDS,
+            faults: Vec::new(),
+        }
     }
 
-    /// Converts the wire value back into an executable [`Sweep`] builder
-    /// (default thread count, no cache attached — chain [`Sweep::threads`] /
-    /// [`Sweep::cache`] as needed).
+    /// Adds one graph axis point.
+    pub fn graph(mut self, g: GraphSpec) -> Self {
+        self.graphs.push(g);
+        self
+    }
+
+    /// Adds many graph axis points.
+    pub fn graphs(mut self, gs: impl IntoIterator<Item = GraphSpec>) -> Self {
+        self.graphs.extend(gs);
+        self
+    }
+
+    /// Adds one placement axis point.
+    pub fn placement(mut self, p: PlacementSpec) -> Self {
+        self.placements.push(p);
+        self
+    }
+
+    /// Adds many placement axis points.
+    pub fn placements(mut self, ps: impl IntoIterator<Item = PlacementSpec>) -> Self {
+        self.placements.extend(ps);
+        self
+    }
+
+    /// Adds one algorithm axis point.
+    pub fn algorithm(mut self, a: AlgorithmSpec) -> Self {
+        self.algorithms.push(a);
+        self
+    }
+
+    /// Adds many algorithm axis points.
+    pub fn algorithms(mut self, algos: impl IntoIterator<Item = AlgorithmSpec>) -> Self {
+        self.algorithms.extend(algos);
+        self
+    }
+
+    /// Replaces the seed axis (default: the single seed 0). An empty list
+    /// becomes `[0]`, so the grid's wire value names the seed it runs.
+    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
+        self.seeds = seeds.into_iter().collect();
+        if self.seeds.is_empty() {
+            self.seeds.push(0);
+        }
+        self
+    }
+
+    /// Adds one fault-plan axis point (fault robot labels refer to each
+    /// cell's placement ids). An empty axis — the default — behaves as the
+    /// single fault-free plan and expands to exactly the pre-fault cells.
+    pub fn fault(mut self, plan: FaultPlan) -> Self {
+        self.faults.push(plan);
+        self
+    }
+
+    /// Adds many fault-plan axis points.
+    pub fn faults(mut self, plans: impl IntoIterator<Item = FaultPlan>) -> Self {
+        self.faults.extend(plans);
+        self
+    }
+
+    /// Replaces the per-scenario round cap.
+    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
+        self.max_rounds = max_rounds;
+        self
+    }
+
+    /// Wraps the grid in an executable [`Sweep`]: all available threads,
+    /// no result store, one fresh instance cache per run. Chain
+    /// [`Sweep::threads`] / [`Sweep::cache`] as needed.
     pub fn into_sweep(self) -> Sweep {
-        Sweep::new()
-            .graphs(self.graphs)
-            .placements(self.placements)
-            .algorithms(self.algorithms)
-            .seeds(self.seeds)
-            .faults(self.faults)
-            .max_rounds(self.max_rounds)
+        Sweep {
+            grid: self,
+            threads: runner::default_threads(),
+            cache: None,
+            cache_policy: CachePolicy::Off,
+            artifacts: ArtifactMode::PerRun,
+        }
     }
 
-    /// Expands the grid into concrete scenarios in the deterministic cell
-    /// order (graph → placement → algorithm → seed), exactly like
-    /// [`Sweep::specs`].
+    /// Expands the whole grid into concrete scenarios, in the deterministic
+    /// cell order of [`SweepSpec::cell_at`].
     pub fn specs(&self) -> Vec<ScenarioSpec> {
-        self.clone().into_sweep().specs()
+        self.specs_range(CellRange::new(0, self.cells()))
     }
 
     /// Number of cells the grid expands to, computed without materializing
@@ -491,14 +412,14 @@ impl SweepSpec {
     }
 
     /// The scenario at position `index` of the deterministic expansion
-    /// order, derived by mixed-radix index arithmetic instead of
-    /// materializing the grid — `spec.cell_at(i) == spec.specs()[i]` for
-    /// every in-range `i`. Returns `None` past [`SweepSpec::cells`].
+    /// order, derived by mixed-radix index arithmetic. This is the one
+    /// expansion every executor uses; returns `None` past
+    /// [`SweepSpec::cells`].
     ///
     /// The axis order is graph → placement → algorithm → seed → fault plan
-    /// (fault plan varies fastest), exactly as [`Sweep::specs`] nests its
-    /// loops; an empty seed axis behaves as the single seed 0 and an empty
-    /// fault axis as the single fault-free plan, mirroring the expansion.
+    /// (fault plan varies fastest). An empty seed axis behaves as the
+    /// single seed 0, and an empty fault axis, like an empty plan on it, as
+    /// the fault-free cell.
     pub fn cell_at(&self, index: usize) -> Option<ScenarioSpec> {
         if index >= self.cells() {
             return None;
@@ -558,12 +479,6 @@ impl SweepSpec {
 impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec::new()
-    }
-}
-
-impl From<SweepSpec> for Sweep {
-    fn from(spec: SweepSpec) -> Sweep {
-        spec.into_sweep()
     }
 }
 
@@ -721,8 +636,10 @@ impl SweepRow {
 
 /// Per-run execution statistics of one sweep: how each cell was satisfied
 /// and how long the whole run took. `cells == cache_hits + simulated +
-/// errors` always holds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// errors` holds for every complete run. Every executor counts a finished
+/// cell with [`SweepStats::count`] and sums partial runs with
+/// [`SweepStats::add_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SweepStats {
     /// Total number of expanded scenario cells.
     pub cells: usize,
@@ -740,6 +657,45 @@ pub struct SweepStats {
     /// the cache's current state. `None` when instance sharing was
     /// disabled, and absent in reports recorded before the cache existed.
     pub artifacts: Option<ArtifactStats>,
+}
+
+/// How one finished cell was satisfied, as [`SweepStats::count`] classifies
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellKind {
+    /// The cell failed to run: its row carries an `error`.
+    Error,
+    /// The row was served from the result store.
+    Hit,
+    /// The cell ran the simulator.
+    Simulated,
+}
+
+impl SweepStats {
+    /// Counts one finished cell: an error if its row carries one, else a
+    /// hit if it was served from the result store, else simulated. Returns
+    /// that class. `cells` is left alone: it is the grid's size, set by
+    /// whoever expanded the grid.
+    pub fn count(&mut self, row: &SweepRow, cache_hit: bool) -> CellKind {
+        let (counter, kind) = if row.error.is_some() {
+            (&mut self.errors, CellKind::Error)
+        } else if cache_hit {
+            (&mut self.cache_hits, CellKind::Hit)
+        } else {
+            (&mut self.simulated, CellKind::Simulated)
+        };
+        *counter += 1;
+        kind
+    }
+
+    /// Adds the hit, simulated and error counts of `other`, a part of this
+    /// run (a coordinator's chunk). `cells`, the elapsed time and the
+    /// instance-cache counters describe the whole run and are left alone.
+    pub fn add_counts(&mut self, other: &SweepStats) {
+        self.cache_hits += other.cache_hits;
+        self.simulated += other.simulated;
+        self.errors += other.errors;
+    }
 }
 
 /// The structured output of one sweep: rows plus the specs that produced
@@ -798,8 +754,44 @@ mod tests {
     use super::*;
     use gather_graph::generators::Family;
 
-    fn tiny_sweep() -> Sweep {
-        Sweep::new()
+    /// The nested-loop expansion `cell_at` must agree with: graph →
+    /// placement → algorithm → seed → fault plan, an empty seed axis as
+    /// seed 0, and an empty fault axis or an empty plan as the fault-free
+    /// cell.
+    fn nested_loop_oracle(grid: &SweepSpec) -> Vec<ScenarioSpec> {
+        let seeds = if grid.seeds.is_empty() {
+            vec![0]
+        } else {
+            grid.seeds.clone()
+        };
+        let plans = if grid.faults.is_empty() {
+            vec![FaultPlan::default()]
+        } else {
+            grid.faults.clone()
+        };
+        let mut out = Vec::new();
+        for &graph in &grid.graphs {
+            for &placement in &grid.placements {
+                for algorithm in &grid.algorithms {
+                    for &seed in &seeds {
+                        for plan in &plans {
+                            let mut spec = ScenarioSpec::new(graph, placement, algorithm.clone())
+                                .with_seed(seed)
+                                .with_max_rounds(grid.max_rounds);
+                            if !plan.is_empty() {
+                                spec = spec.with_faults(plan.clone());
+                            }
+                            out.push(spec);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn tiny_grid() -> SweepSpec {
+        SweepSpec::new()
             .graphs([
                 GraphSpec::new(Family::Cycle, 6),
                 GraphSpec::new(Family::Path, 5),
@@ -814,7 +806,7 @@ mod tests {
 
     #[test]
     fn specs_expand_in_axis_order() {
-        let specs = tiny_sweep().specs();
+        let specs = tiny_grid().specs();
         assert_eq!(specs.len(), 2 * 2 * 2);
         assert_eq!(specs[0].graph.family, Family::Cycle);
         assert_eq!(specs[0].algorithm.name, "faster_gathering");
@@ -826,7 +818,7 @@ mod tests {
 
     #[test]
     fn sweep_rows_align_with_specs_and_detect_correctly() {
-        let report = tiny_sweep().threads(2).run_default();
+        let report = tiny_grid().into_sweep().threads(2).run_default();
         assert_eq!(report.rows.len(), report.specs.len());
         assert!(report.all_detected_ok(), "{:?}", report.rows);
         for (spec, row) in report.specs.iter().zip(&report.rows) {
@@ -839,10 +831,11 @@ mod tests {
 
     #[test]
     fn failures_become_rows_not_panics() {
-        let report = Sweep::new()
+        let report = SweepSpec::new()
             .graph(GraphSpec::new(Family::Path, 4))
             .placement(PlacementSpec::new(PlacementKind::DispersedRandom, 40))
             .algorithm(AlgorithmSpec::new("faster_gathering"))
+            .into_sweep()
             .run_default();
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.failed_rows().count(), 1);
@@ -855,13 +848,14 @@ mod tests {
     fn infeasible_pair_distance_cells_survive_as_error_rows() {
         // cycle(12) has diameter 6: the d=7 cell must become an error row
         // while the d=2 cell still runs — the worker thread must not panic.
-        let report = Sweep::new()
+        let report = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 12))
             .placements([
                 PlacementSpec::new(PlacementKind::PairAtDistance(2), 2),
                 PlacementSpec::new(PlacementKind::PairAtDistance(7), 2),
             ])
             .algorithm(AlgorithmSpec::new("faster_gathering"))
+            .into_sweep()
             .threads(2)
             .run_default();
         assert_eq!(report.rows.len(), 2);
@@ -872,7 +866,7 @@ mod tests {
 
     #[test]
     fn empty_axes_produce_an_empty_report() {
-        let report = Sweep::new().run_default();
+        let report = SweepSpec::new().into_sweep().run_default();
         assert!(report.rows.is_empty());
         assert!(report.all_detected_ok(), "vacuously true");
         assert_eq!(report.stats.cells, 0);
@@ -880,7 +874,7 @@ mod tests {
 
     #[test]
     fn uncached_sweeps_report_every_cell_as_simulated() {
-        let report = tiny_sweep().threads(2).run_default();
+        let report = tiny_grid().into_sweep().threads(2).run_default();
         let stats = report.stats;
         assert_eq!(stats.cells, report.rows.len());
         assert_eq!(stats.simulated, stats.cells);
@@ -894,7 +888,8 @@ mod tests {
         use crate::cache::{CachePolicy, MemStore};
         use std::sync::Arc;
         let store = Arc::new(MemStore::new());
-        let sweep = tiny_sweep()
+        let sweep = tiny_grid()
+            .into_sweep()
             .threads(2)
             .cache(store.clone(), CachePolicy::ReadWrite);
         let first = sweep.run_default();
@@ -911,13 +906,14 @@ mod tests {
         use crate::cache::{CachePolicy, MemStore};
         use std::sync::Arc;
         let store = Arc::new(MemStore::new());
-        let sweep = Sweep::new()
+        let sweep = SweepSpec::new()
             .graph(GraphSpec::new(Family::Path, 4))
             .placements([
                 PlacementSpec::new(PlacementKind::UndispersedRandom, 3),
                 PlacementSpec::new(PlacementKind::DispersedRandom, 40),
             ])
             .algorithm(AlgorithmSpec::new("faster_gathering"))
+            .into_sweep()
             .cache(store.clone(), CachePolicy::ReadWrite);
         let report = sweep.run_default();
         assert_eq!(report.stats.errors, 1);
@@ -930,8 +926,43 @@ mod tests {
     }
 
     #[test]
+    fn count_puts_errors_before_hits_and_add_counts_sums_the_parts() {
+        let spec = tiny_grid().cell_at(0).unwrap();
+        let (ok, _) = SweepRow::compute(
+            &spec,
+            crate::registry::global(),
+            None,
+            CachePolicy::Off,
+            None,
+        );
+        let failed = SweepRow {
+            error: Some("boom".to_string()),
+            ..ok.clone()
+        };
+        let mut part = SweepStats::default();
+        assert_eq!(part.count(&failed, true), CellKind::Error);
+        assert_eq!(part.count(&ok, true), CellKind::Hit);
+        assert_eq!(part.count(&ok, false), CellKind::Simulated);
+        assert_eq!(part.count(&ok, false), CellKind::Simulated);
+        assert_eq!((part.errors, part.cache_hits, part.simulated), (1, 1, 2));
+        assert_eq!(part.cells, 0, "cells is the grid's size, not a count");
+        let mut whole = SweepStats {
+            cells: 9,
+            elapsed_ms: 5.0,
+            ..SweepStats::default()
+        };
+        whole.add_counts(&part);
+        whole.add_counts(&part);
+        assert_eq!(
+            (whole.cells, whole.errors, whole.cache_hits, whole.simulated),
+            (9, 2, 2, 4)
+        );
+        assert_eq!(whole.elapsed_ms, 5.0);
+    }
+
+    #[test]
     fn sweep_spec_roundtrips_through_json() {
-        let spec = tiny_sweep().max_rounds(123_456).to_spec();
+        let spec = tiny_grid().max_rounds(123_456);
         let json = spec.to_json();
         let back = SweepSpec::from_json(&json).unwrap();
         assert_eq!(spec, back);
@@ -941,11 +972,15 @@ mod tests {
 
     #[test]
     fn sweep_spec_expands_exactly_like_the_builder() {
-        let sweep = tiny_sweep();
-        let spec = sweep.to_spec();
+        let spec = tiny_grid();
         assert_eq!(spec.cells(), 8);
-        assert_eq!(spec.specs(), sweep.specs());
-        assert_eq!(spec.clone().into_sweep().specs(), sweep.specs());
+        assert_eq!(spec.specs(), nested_loop_oracle(&spec));
+        // A local run runs exactly the grid's cells, in order.
+        let report = spec.clone().into_sweep().threads(1).run_default();
+        assert_eq!(report.specs, spec.specs());
+        // An empty seed list given to the builder is stored as `[0]`, so
+        // the wire value names the seed the cells run with.
+        assert_eq!(SweepSpec::new().seeds([]).seeds, vec![0]);
     }
 
     #[test]
@@ -968,10 +1003,10 @@ mod tests {
 
     #[test]
     fn fault_axis_multiplies_cells_and_keeps_fault_free_grids_stable() {
-        let plain = tiny_sweep();
-        let faulty = tiny_sweep().faults([FaultPlan::default(), FaultPlan::new(1).crash(2, 3)]);
-        assert_eq!(plain.to_spec().cells(), 8);
-        assert_eq!(faulty.to_spec().cells(), 16);
+        let plain = tiny_grid();
+        let faulty = tiny_grid().faults([FaultPlan::default(), FaultPlan::new(1).crash(2, 3)]);
+        assert_eq!(plain.cells(), 8);
+        assert_eq!(faulty.cells(), 16);
         // The fault axis is innermost: consecutive specs share all other
         // axis points, and the explicit fault-free plan expands to a spec
         // equal to the plain sweep's.
@@ -982,18 +1017,18 @@ mod tests {
         assert_eq!(specs[1].faults, FaultPlan::new(1).crash(2, 3));
         assert_eq!(specs[0].seed, specs[1].seed);
         // Wire format: fault-less grids must not mention faults at all.
-        let json = plain.to_spec().to_json();
+        let json = plain.to_json();
         assert!(!json.contains("faults"), "{json}");
         let back = SweepSpec::from_json(&json).unwrap();
-        assert_eq!(back, plain.to_spec());
-        let fjson = faulty.to_spec().to_json();
+        assert_eq!(back, plain);
+        let fjson = faulty.to_json();
         assert!(fjson.contains("\"faults\""));
-        assert_eq!(SweepSpec::from_json(&fjson).unwrap(), faulty.to_spec());
+        assert_eq!(SweepSpec::from_json(&fjson).unwrap(), faulty);
     }
 
     #[test]
     fn crash_fault_sweep_populates_degradation_on_faulty_rows_only() {
-        let report = Sweep::new()
+        let report = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 6))
             .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
             .algorithms([
@@ -1005,6 +1040,7 @@ mod tests {
             .seeds([1])
             .faults([FaultPlan::default(), FaultPlan::new(2).crash(3, 2)])
             .max_rounds(50_000)
+            .into_sweep()
             .threads(2)
             .run_default();
         assert_eq!(report.rows.len(), 8);
@@ -1032,12 +1068,13 @@ mod tests {
         use crate::cache::{CachePolicy, MemStore};
         use std::sync::Arc;
         let store = Arc::new(MemStore::new());
-        let sweep = Sweep::new()
+        let sweep = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 6))
             .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
             .algorithm(AlgorithmSpec::new("faster_gathering"))
             .faults([FaultPlan::new(2).crash(3, 2)])
             .max_rounds(50_000)
+            .into_sweep()
             .cache(store.clone(), CachePolicy::ReadWrite);
         let first = sweep.run_default();
         assert_eq!(first.stats.simulated, 1);
@@ -1053,21 +1090,33 @@ mod tests {
 
     #[test]
     fn cell_at_matches_the_materialized_expansion() {
-        let spec = tiny_sweep()
-            .faults([FaultPlan::default(), FaultPlan::new(1).crash(2, 3)])
-            .to_spec();
-        let all = spec.specs();
-        assert_eq!(all.len(), spec.cells());
-        for (i, expected) in all.iter().enumerate() {
-            assert_eq!(spec.cell_at(i).as_ref(), Some(expected), "cell {i}");
+        let empty_seeds = SweepSpec {
+            seeds: Vec::new(),
+            ..tiny_grid()
+        };
+        let grids = [
+            tiny_grid(),
+            empty_seeds.clone(),
+            // An explicit fault-free plan next to a crash plan.
+            tiny_grid().faults([FaultPlan::default(), FaultPlan::new(1).crash(2, 3)]),
+            empty_seeds.faults([FaultPlan::new(1).crash(2, 3), FaultPlan::default()]),
+            SweepSpec::new(),
+        ];
+        for spec in grids {
+            let oracle = nested_loop_oracle(&spec);
+            assert_eq!(oracle.len(), spec.cells(), "{spec:?}");
+            for (i, expected) in oracle.iter().enumerate() {
+                assert_eq!(spec.cell_at(i).as_ref(), Some(expected), "cell {i}");
+            }
+            assert_eq!(spec.cell_at(oracle.len()), None);
+            assert_eq!(spec.cell_at(usize::MAX), None);
+            assert_eq!(spec.specs(), oracle);
         }
-        assert_eq!(spec.cell_at(all.len()), None);
-        assert_eq!(spec.cell_at(usize::MAX), None);
     }
 
     #[test]
     fn carved_ranges_partition_the_grid_exactly() {
-        let spec = tiny_sweep().to_spec();
+        let spec = tiny_grid();
         let all = spec.specs();
         // Every chunking of [0, cells) concatenates back to specs().
         for chunk in [1, 2, 3, 5, all.len(), all.len() + 7] {
@@ -1094,9 +1143,8 @@ mod tests {
 
     #[test]
     fn carving_handles_empty_seed_and_fault_axes_like_the_expansion() {
-        // A hand-built spec with an empty seed axis: `specs()` (via
-        // `into_sweep`) substitutes the single seed 0, and carving must
-        // agree.
+        // A hand-built spec with an empty seed axis: `specs()` substitutes
+        // the single seed 0, and carving must agree.
         let spec = SweepSpec {
             graphs: vec![GraphSpec::new(Family::Cycle, 6)],
             placements: vec![PlacementSpec::new(PlacementKind::UndispersedRandom, 3)],
@@ -1128,7 +1176,7 @@ mod tests {
 
     #[test]
     fn from_rows_rebuilds_a_run_report() {
-        let report = tiny_sweep().threads(2).run_default();
+        let report = tiny_grid().into_sweep().threads(2).run_default();
         let rebuilt =
             SweepReport::from_rows(report.specs.clone(), report.rows.clone(), report.stats);
         assert_eq!(rebuilt.rows, report.rows);
@@ -1138,16 +1186,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "index-aligned")]
     fn from_rows_rejects_misaligned_halves() {
-        let report = tiny_sweep().threads(2).run_default();
+        let report = tiny_grid().into_sweep().threads(2).run_default();
         let _ = SweepReport::from_rows(report.specs.clone(), Vec::new(), report.stats);
     }
 
     #[test]
     fn report_serializes_to_json() {
-        let report = Sweep::new()
+        let report = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 5))
             .placement(PlacementSpec::new(PlacementKind::AllOnOneNode, 2))
             .algorithm(AlgorithmSpec::new("uxs_gathering"))
+            .into_sweep()
             .run_default();
         let json = report.to_json_pretty();
         let back: SweepReport = serde_json::from_str(&json).unwrap();

@@ -817,7 +817,7 @@ mod tests {
             connect_timeout: Some(Duration::from_millis(250)),
             ..ClientConfig::default()
         };
-        let sweep = gather_core::sweep::Sweep::new().to_spec();
+        let sweep = gather_core::sweep::SweepSpec::new();
         let mut sleeps = 0usize;
         let result =
             Client::run_sweep_with_retry_sleeper(&addr, &config, &sweep, None, &mut |_| {
@@ -866,7 +866,7 @@ mod tests {
              ({expected_sleeps} sleeps)"
         );
 
-        let sweep = gather_core::sweep::Sweep::new().to_spec();
+        let sweep = gather_core::sweep::SweepSpec::new();
         let mut slept = 0u32;
         // The fake clock is shared between the sleeper (which advances
         // it) and the elapsed reader via a cell.
@@ -916,7 +916,7 @@ mod tests {
             deadline: None,
             ..ClientConfig::default()
         };
-        let sweep = gather_core::sweep::Sweep::new().to_spec();
+        let sweep = gather_core::sweep::SweepSpec::new();
         let mut slept = 0u32;
         let result = Client::run_sweep_with_retry_clocked(
             &addr,

@@ -37,7 +37,7 @@
 //! ```
 //! use gather_core::cache::{CachePolicy, MemStore};
 //! use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-//! use gather_core::sweep::Sweep;
+//! use gather_core::sweep::SweepSpec;
 //! use gather_graph::generators::Family;
 //! use gather_sim::placement::PlacementKind;
 //! use gather_service::client::Client;
@@ -55,12 +55,13 @@
 //! let addr = server.local_addr().unwrap();
 //! let daemon = std::thread::spawn(move || server.run());
 //!
-//! let sweep = Sweep::new()
+//! // The grid is plain data: the same value runs locally through
+//! // `into_sweep()` or travels to the daemon as is.
+//! let sweep = SweepSpec::new()
 //!     .graph(GraphSpec::new(Family::Cycle, 6))
 //!     .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
 //!     .algorithm(AlgorithmSpec::new("faster_gathering"))
-//!     .seeds([1, 2])
-//!     .to_spec();
+//!     .seeds([1, 2]);
 //!
 //! let mut client = Client::connect(addr).unwrap();
 //! let report = client.run_sweep(&sweep, None).unwrap();

@@ -369,17 +369,16 @@ fn into_utf8(bytes: Vec<u8>) -> Result<String, FrameError> {
 mod tests {
     use super::*;
     use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-    use gather_core::sweep::Sweep;
+    use gather_core::sweep::SweepSpec;
     use gather_graph::generators::Family;
     use gather_sim::placement::PlacementKind;
 
     fn demo_sweep() -> SweepSpec {
-        Sweep::new()
+        SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 6))
             .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
             .algorithm(AlgorithmSpec::new("faster_gathering"))
             .seeds([1, 2])
-            .to_spec()
     }
 
     #[test]

@@ -26,7 +26,7 @@ use gather_core::artifact::{ArtifactCache, ArtifactStats};
 use gather_core::cache::{CachePolicy, ResultStore};
 use gather_core::registry;
 use gather_core::scenario::ScenarioSpec;
-use gather_core::sweep::{SweepRow, SweepStats};
+use gather_core::sweep::{CellKind, SweepRow, SweepStats};
 use gather_obs::{trace, Counter, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,9 +102,8 @@ struct Progress {
     next_cell: usize,
     active: usize,
     done: usize,
-    cache_hits: usize,
-    simulated: usize,
-    errors: usize,
+    /// Hit, simulated and error counts of the finished cells.
+    stats: SweepStats,
     started: Instant,
 }
 
@@ -131,11 +130,8 @@ impl Job {
     fn stats(&self, p: &Progress) -> SweepStats {
         SweepStats {
             cells: self.specs.len(),
-            cache_hits: p.cache_hits,
-            simulated: p.simulated,
-            errors: p.errors,
             elapsed_ms: p.started.elapsed().as_secs_f64() * 1e3,
-            artifacts: None,
+            ..p.stats
         }
     }
 }
@@ -268,9 +264,7 @@ impl Scheduler {
                 next_cell: 0,
                 active: 0,
                 done: 0,
-                cache_hits: 0,
-                simulated: 0,
-                errors: 0,
+                stats: SweepStats::default(),
                 started: Instant::now(),
             }),
         });
@@ -498,15 +492,10 @@ fn worker_loop(core: &SchedCore, busy: &Counter) {
             p.active -= 1;
             p.done += 1;
             obs.cells.inc();
-            if row.error.is_some() {
-                p.errors += 1;
-                obs.errors.inc();
-            } else if hit {
-                p.cache_hits += 1;
-                obs.hits.inc();
-            } else {
-                p.simulated += 1;
-                obs.misses.inc();
+            match p.stats.count(&row, hit) {
+                CellKind::Error => obs.errors.inc(),
+                CellKind::Hit => obs.hits.inc(),
+                CellKind::Simulated => obs.misses.inc(),
             }
             // Both sends happen under the progress lock: every worker's Row
             // is enqueued in the same critical section that bumps `done`,
@@ -601,12 +590,12 @@ mod tests {
     use super::*;
     use gather_core::cache::MemStore;
     use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-    use gather_core::sweep::Sweep;
+    use gather_core::sweep::SweepSpec;
     use gather_graph::generators::Family;
     use gather_sim::placement::PlacementKind;
 
     fn demo_specs() -> Vec<ScenarioSpec> {
-        Sweep::new()
+        SweepSpec::new()
             .graphs([
                 GraphSpec::new(Family::Cycle, 6),
                 GraphSpec::new(Family::Path, 5),
@@ -688,7 +677,7 @@ mod tests {
         assert_eq!(stats.cells, 0);
 
         // An infeasible placement becomes an error row, not a dead worker.
-        let bad = Sweep::new()
+        let bad = SweepSpec::new()
             .graph(GraphSpec::new(Family::Path, 4))
             .placement(PlacementSpec::new(PlacementKind::DispersedRandom, 40))
             .algorithm(AlgorithmSpec::new("faster_gathering"))

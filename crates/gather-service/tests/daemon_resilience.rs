@@ -5,7 +5,7 @@
 
 use gather_core::cache::{CachePolicy, DirStore};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepSpec};
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_service::client::{Client, ClientConfig, ClientError};
 use gather_service::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn small_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graph(GraphSpec::new(Family::Cycle, 6))
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
         .algorithms([
@@ -29,7 +29,6 @@ fn small_sweep() -> SweepSpec {
         ])
         .seeds([1, 2])
         .faults([FaultPlan::default(), FaultPlan::new(5).crash(3, 2)])
-        .to_spec()
 }
 
 fn spawn_daemon(config: ServerConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {

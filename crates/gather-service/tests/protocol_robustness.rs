@@ -5,7 +5,7 @@
 
 use gather_core::cache::CachePolicy;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::Sweep;
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_service::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME_BYTES};
@@ -100,15 +100,14 @@ fn grids_over_the_cell_limit_are_rejected_before_expansion() {
     // A compact frame describing an enormous cartesian product: the daemon
     // must refuse it with a structured error instead of materializing
     // billions of specs (`submit_sweep` never expands client-side).
-    let huge = Sweep::new()
+    let huge = SweepSpec::new()
         .graphs((0..1000).map(|i| GraphSpec::new(Family::Cycle, 8 + (i % 7))))
         .placements((2..12).map(|k| PlacementSpec::new(PlacementKind::UndispersedRandom, k)))
         .algorithms([
             AlgorithmSpec::new("faster_gathering"),
             AlgorithmSpec::new("uxs_gathering"),
         ])
-        .seeds(0..1000)
-        .to_spec();
+        .seeds(0..1000);
     assert!(huge.cells() > MAX_CELLS_PER_SUBMIT);
     match client.submit_sweep(&huge, None) {
         Err(e) => {
@@ -119,11 +118,10 @@ fn grids_over_the_cell_limit_are_rejected_before_expansion() {
     }
 
     // The connection survives the rejection and still runs real work.
-    let small = Sweep::new()
+    let small = SweepSpec::new()
         .graph(GraphSpec::new(Family::Cycle, 6))
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
-        .algorithm(AlgorithmSpec::new("faster_gathering"))
-        .to_spec();
+        .algorithm(AlgorithmSpec::new("faster_gathering"));
     let report = client
         .run_sweep(&small, None)
         .expect("small sweep still runs");
@@ -137,15 +135,14 @@ fn shutdown_during_an_active_stream_cancels_it_instead_of_hanging() {
     let (addr, handle) = spawn_daemon();
 
     // A connection streaming a grid too large to finish instantly…
-    let sweep = Sweep::new()
+    let sweep = SweepSpec::new()
         .graphs((0..8).map(|i| GraphSpec::new(Family::Cycle, 10 + i)))
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
         .algorithms([
             AlgorithmSpec::new("faster_gathering"),
             AlgorithmSpec::new("uxs_gathering"),
         ])
-        .seeds([1, 2, 3])
-        .to_spec();
+        .seeds([1, 2, 3]);
     let streamer = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect streamer");
         // Either the sweep finishes before the shutdown lands (Ok) or the
@@ -329,15 +326,14 @@ fn mid_stream_disconnect_cancels_the_job_and_daemon_survives() {
     let (addr, handle) = spawn_daemon();
 
     // A grid big enough that the client can vanish mid-stream.
-    let sweep = Sweep::new()
+    let sweep = SweepSpec::new()
         .graphs((0..6).map(|i| GraphSpec::new(Family::Cycle, 8 + i)))
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
         .algorithms([
             AlgorithmSpec::new("faster_gathering"),
             AlgorithmSpec::new("uxs_gathering"),
         ])
-        .seeds([1, 2, 3])
-        .to_spec();
+        .seeds([1, 2, 3]);
 
     let job = {
         let stream = TcpStream::connect(addr).expect("connect raw");
@@ -382,11 +378,10 @@ fn mid_stream_disconnect_cancels_the_job_and_daemon_survives() {
     // And it still runs fresh work to completion afterwards.
     let report = client
         .run_sweep(
-            &Sweep::new()
+            &SweepSpec::new()
                 .graph(GraphSpec::new(Family::Cycle, 6))
                 .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
-                .algorithm(AlgorithmSpec::new("faster_gathering"))
-                .to_spec(),
+                .algorithm(AlgorithmSpec::new("faster_gathering")),
             None,
         )
         .expect("fresh sweep after the orphan");

@@ -5,7 +5,7 @@
 
 use gather_core::cache::{CachePolicy, DirStore, MemStore};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepSpec};
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_service::server::{Server, ServerConfig};
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 fn demo_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Grid, 9),
@@ -28,7 +28,6 @@ fn demo_sweep() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
-        .to_spec()
 }
 
 /// Spawns a daemon; returns its address and the join handle of `run`.
@@ -214,7 +213,7 @@ fn artifact_cache_is_shared_across_worker_counts_and_reported_by_status() {
 #[test]
 fn fault_sweep_rows_are_identical_across_local_cached_and_daemon_paths() {
     use gather_sim::{ByzantineStrategy, FaultPlan};
-    let sweep = Sweep::new()
+    let sweep = SweepSpec::new()
         .graph(GraphSpec::new(Family::Cycle, 6))
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
         .algorithms([
@@ -229,8 +228,7 @@ fn fault_sweep_rows_are_identical_across_local_cached_and_daemon_paths() {
             FaultPlan::new(5).crash(3, 2),
             FaultPlan::new(9).byzantine(2, ByzantineStrategy::ReplayLast),
         ])
-        .max_rounds(50_000)
-        .to_spec();
+        .max_rounds(50_000);
 
     // Path 1: plain local run, no cache anywhere.
     let local = sweep.clone().into_sweep().run_default();
@@ -345,11 +343,10 @@ fn single_scenarios_status_and_error_rows_work_over_the_wire() {
     }
 
     // An infeasible cell travels back as an error row, not a broken stream.
-    let bad = Sweep::new()
+    let bad = SweepSpec::new()
         .graph(GraphSpec::new(Family::Path, 4))
         .placement(PlacementSpec::new(PlacementKind::DispersedRandom, 40))
-        .algorithm(AlgorithmSpec::new("faster_gathering"))
-        .to_spec();
+        .algorithm(AlgorithmSpec::new("faster_gathering"));
     let report = client.run_sweep(&bad, None).expect("sweep with error cell");
     assert_eq!(report.stats.errors, 1);
     assert!(report.rows[0].error.as_deref().unwrap().contains("k <= n"));

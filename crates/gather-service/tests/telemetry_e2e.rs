@@ -10,7 +10,7 @@
 
 use gather_core::cache::{CachePolicy, MemStore};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepSpec};
+use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
 use gather_obs::MetricsSnapshot;
 use gather_service::client::Client;
@@ -21,7 +21,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 fn demo_sweep() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::Path, 7),
@@ -32,7 +32,6 @@ fn demo_sweep() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
-        .to_spec()
 }
 
 /// Counter/gauge value by name, defaulting to 0 for a never-touched (hence

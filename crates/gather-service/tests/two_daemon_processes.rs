@@ -3,7 +3,7 @@
 //! the finished cells of a daemon killed mid-grid.
 
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{Sweep, SweepReport, SweepSpec};
+use gather_core::sweep::{SweepReport, SweepSpec};
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_sim::placement::PlacementKind;
@@ -80,7 +80,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Enough cells that a daemon killed after its first row leaves most of
 /// them unfinished.
 fn second_grid() -> SweepSpec {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::RandomSparse, 10),
@@ -94,7 +94,6 @@ fn second_grid() -> SweepSpec {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds(1..=8)
-        .to_spec()
 }
 
 #[test]

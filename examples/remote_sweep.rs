@@ -33,7 +33,7 @@ fn main() {
 
     // The grid, as the same serializable value `gather-submit` reads from a
     // JSON file: 3 graph families x 2 algorithms x 2 seeds = 12 cells.
-    let sweep = Sweep::new()
+    let sweep = SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 10),
             GraphSpec::new(Family::Grid, 9),
@@ -44,8 +44,7 @@ fn main() {
             AlgorithmSpec::new("faster_gathering"),
             AlgorithmSpec::new("uxs_gathering"),
         ])
-        .seeds([1, 2])
-        .to_spec();
+        .seeds([1, 2]);
 
     let mut client = Client::connect(addr).expect("connect to the daemon");
 

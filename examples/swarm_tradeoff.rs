@@ -20,7 +20,7 @@ fn main() {
     // One declarative grid: cycle(18) × (MaxSpread placements at each k) ×
     // Faster-Gathering. MaxSpread is the adversarial dispersed placement —
     // the worst case for regrouping.
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graph(GraphSpec::new(Family::Cycle, n))
         .placements(
             ks.iter()
@@ -28,6 +28,7 @@ fn main() {
         )
         .algorithm(AlgorithmSpec::new("faster_gathering"))
         .seeds([99])
+        .into_sweep()
         .run_default();
 
     println!(

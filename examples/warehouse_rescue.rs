@@ -21,7 +21,7 @@ fn main() {
     let n = 20usize;
     let crews = [3usize, 5, 7, 11];
 
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graph(GraphSpec::new(Family::Grid, n))
         .placements(
             // The crew scatters to the far corners of the warehouse while
@@ -32,6 +32,7 @@ fn main() {
         )
         .algorithm(AlgorithmSpec::new("faster_gathering"))
         .seeds([11])
+        .into_sweep()
         .run_default();
 
     println!("warehouse: {} junctions (4x5 grid)", n);

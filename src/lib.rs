@@ -60,18 +60,22 @@
 //! assert_eq!(again.run_default().unwrap().outcome.rounds, result.outcome.rounds);
 //! ```
 //!
-//! Whole parameter grids run in parallel through
-//! [`Sweep`](core::sweep::Sweep):
+//! A whole parameter grid is one [`SweepSpec`](core::sweep::SweepSpec),
+//! built axis by axis. `into_sweep()` wraps it in a
+//! [`Sweep`](core::sweep::Sweep), which adds the execution options of a
+//! local run (threads, result store) and runs the cells in parallel; the
+//! same `SweepSpec` is also what the sweep daemon and the coordinator take:
 //!
 //! ```
 //! use gathering::prelude::*;
 //!
-//! let report = Sweep::new()
+//! let grid = SweepSpec::new()
 //!     .graphs([GraphSpec::new(Family::Cycle, 8), GraphSpec::new(Family::Grid, 9)])
 //!     .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
 //!     .algorithms([AlgorithmSpec::new("faster_gathering"), AlgorithmSpec::new("uxs_gathering")])
-//!     .seeds([1, 2, 3])
-//!     .run_default();
+//!     .seeds([1, 2, 3]);
+//! assert_eq!(grid.cells(), 2 * 2 * 3);
+//! let report = grid.into_sweep().threads(2).run_default();
 //! assert!(report.all_detected_ok());
 //! assert_eq!(report.rows.len(), 2 * 2 * 3);
 //! ```
@@ -150,11 +154,10 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let daemon = std::thread::spawn(move || server.run());
 
-        let sweep = Sweep::new()
+        let sweep = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 5))
             .placement(PlacementSpec::new(PlacementKind::AllOnOneNode, 2))
-            .algorithm(AlgorithmSpec::new(Algorithm::Undispersed.name()))
-            .to_spec();
+            .algorithm(AlgorithmSpec::new(Algorithm::Undispersed.name()));
         let local = sweep.clone().into_sweep().run_default();
 
         let mut client = Client::connect(addr).unwrap();
@@ -185,12 +188,11 @@ mod tests {
             })
             .collect();
 
-        let sweep = Sweep::new()
+        let sweep = SweepSpec::new()
             .graph(GraphSpec::new(Family::Cycle, 5))
             .placement(PlacementSpec::new(PlacementKind::AllOnOneNode, 2))
             .algorithm(AlgorithmSpec::new(Algorithm::Undispersed.name()))
-            .seeds([1, 2])
-            .to_spec();
+            .seeds([1, 2]);
         let local = sweep.clone().into_sweep().run_default();
 
         let config = CoordConfig {

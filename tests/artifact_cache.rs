@@ -8,7 +8,7 @@ use gathering::prelude::*;
 use std::sync::Arc;
 
 fn demo_sweep() -> Sweep {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::RandomSparse, 10),
@@ -30,6 +30,7 @@ fn demo_sweep() -> Sweep {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
+        .into_sweep()
         .threads(4)
 }
 
@@ -80,7 +81,7 @@ fn each_distinct_graph_is_built_exactly_once_per_process_for_a_pxaxs_sweep() {
     // the acceptance shape. Executed over 8 threads to prove exactly-once
     // holds under concurrency (construction happens under the cache lock).
     let cache = Arc::new(ArtifactCache::new());
-    let report = Sweep::new()
+    let report = SweepSpec::new()
         .graph(GraphSpec::new(Family::RandomDense, 12))
         .placements([
             PlacementSpec::new(PlacementKind::UndispersedRandom, 3),
@@ -92,6 +93,7 @@ fn each_distinct_graph_is_built_exactly_once_per_process_for_a_pxaxs_sweep() {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([7, 8])
+        .into_sweep()
         .threads(8)
         .artifacts(cache.clone())
         .run_default();

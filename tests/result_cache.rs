@@ -22,7 +22,7 @@ fn temp_store(tag: &str) -> (PathBuf, Arc<DirStore>) {
 }
 
 fn demo_sweep() -> Sweep {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::RandomSparse, 10),
@@ -36,6 +36,7 @@ fn demo_sweep() -> Sweep {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
+        .into_sweep()
         .threads(4)
 }
 

@@ -4,7 +4,7 @@
 use gathering::prelude::*;
 
 fn demo_sweep() -> Sweep {
-    Sweep::new()
+    SweepSpec::new()
         .graphs([
             GraphSpec::new(Family::Cycle, 8),
             GraphSpec::new(Family::RandomSparse, 8),
@@ -18,6 +18,7 @@ fn demo_sweep() -> Sweep {
             AlgorithmSpec::new("uxs_gathering"),
         ])
         .seeds([1, 2])
+        .into_sweep()
 }
 
 #[test]

@@ -22,13 +22,14 @@ const BUDGET: Duration = Duration::from_millis(500);
 /// daemons only ever serve hits and the timings measure the transport.
 fn warm_grid() -> (SweepSpec, Arc<MemStore>, SweepReport) {
     let store = Arc::new(MemStore::new());
-    let sweep = Sweep::new()
+    let spec = SweepSpec::new()
         .graph(GraphSpec::new(Family::Cycle, 6))
         .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
         .algorithm(AlgorithmSpec::new("faster_gathering"))
         .seeds(1..=CELLS as u64);
-    let spec = sweep.to_spec();
-    let report = sweep
+    let report = spec
+        .clone()
+        .into_sweep()
         .cache(store.clone(), CachePolicy::ReadWrite)
         .run_default();
     assert_eq!(report.stats.simulated, CELLS);

@@ -137,8 +137,8 @@ pub fn results_dir() -> PathBuf {
 
 /// The shared on-disk result cache of the experiment binaries: one JSON
 /// entry per scenario under `results/cache/` (see `gather_core::cache`).
-/// CI persists this directory across runs, so re-running an experiment whose
-/// cells are unchanged skips every simulation.
+/// Re-running an experiment whose cells are unchanged skips every
+/// simulation.
 pub fn cache_store() -> DirStore {
     DirStore::new(results_dir().join("cache"))
 }

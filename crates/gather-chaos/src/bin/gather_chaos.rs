@@ -22,8 +22,8 @@
 //!
 //! `--plan` loads a serialized [`gather_chaos::ChaosPlan`] instead (the
 //! flags are then rejected — a plan file is the single source of truth);
-//! `--plan-out` writes the effective plan as JSON, so a CI failure can
-//! upload the exact misbehavior schedule for replay. `--port-file`
+//! `--plan-out` writes the effective plan as JSON, so a failed run leaves
+//! the exact misbehavior schedule for replay. `--port-file`
 //! mirrors `gather-serve`: the bound address is written there once
 //! listening, for ephemeral-port orchestration.
 
@@ -196,8 +196,8 @@ fn main() {
         eprintln!("gather-chaos: accept loop failed to start: {e}");
         exit(1);
     });
-    // Serve until killed: the CLI has no in-band shutdown (CI kills the
-    // process), so park this thread instead of spinning.
+    // Serve until killed: the CLI has no in-band shutdown, so park this
+    // thread instead of spinning.
     loop {
         std::thread::park();
     }

@@ -6,7 +6,7 @@
 //! gathering unless `k = 2`). On any instance where two robots start
 //! together while a third starts elsewhere, the checker finds an
 //! [`crate::predicates::Violation::EarlyTermination`] at depth 1, making
-//! this the standard fixture for replay tests and CI artifact plumbing.
+//! this the standard fixture for replay tests and counterexample plumbing.
 
 use gather_sim::{Action, Inbox, Observation, Robot, RobotId};
 

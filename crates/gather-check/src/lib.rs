@@ -31,8 +31,8 @@
 //! * [`broken`] — a deliberately unsound robot exercising the failure path.
 //!
 //! The `gather-check` binary wraps this into a CLI (`--spec`, `--matrix`,
-//! `--diagram`, `--replay`); CI runs the pinned matrix in
-//! `ci/check_matrix.json` and fails on any non-`verified` verdict.
+//! `--diagram`, `--replay`); `tests/matrix.rs` runs the pinned matrix in
+//! `ci/check_matrix.json` and fails on any verdict an entry does not pin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -72,7 +72,7 @@ pub struct CheckSpec {
     /// [`Verdict::Verified`] is required). [`run_check`] ignores it; the
     /// `gather-check --matrix` runner compares against it, so a crash-fault
     /// entry whose detection *provably breaks* can be pinned as
-    /// `"expect": "Violated"` and still gate CI — drifting to any other
+    /// `"expect": "Violated"` and still gate the matrix — drifting to any other
     /// verdict (including silently verifying) fails the run.
     pub expect: Option<Verdict>,
 }

@@ -5,7 +5,7 @@
 //! driving the initial state into the violating one. Because the engine's
 //! step is a pure function of `(state, activation)`, replaying the sequence
 //! reproduces the violation exactly — no scheduler, no randomness, no
-//! checker required. CI uploads these files on failure and
+//! checker required. `gather-check --cex-dir` writes these files and
 //! `gather-check --replay` (or [`Counterexample::verify`]) re-derives the
 //! violation from them.
 

@@ -38,7 +38,7 @@
 //!
 //! The key format is pinned by a fixture test
 //! (`spec_key_is_pinned_across_releases`): it must never change silently,
-//! because persisted caches and CI cache keys depend on it.
+//! because persisted caches depend on it.
 //!
 //! ## Stores
 //!
@@ -65,7 +65,7 @@
 //! and [`crate::sweep::Sweep`] use a store: [`CachePolicy::Off`] bypasses it
 //! entirely, [`CachePolicy::ReadWrite`] serves hits and stores misses, and
 //! [`CachePolicy::ReadOnly`] serves hits but never writes (useful for
-//! read-only deployments and for consuming a CI-restored cache without
+//! read-only deployments and for consuming a shared cache without
 //! mutating it). Failed runs are never cached under any policy.
 
 use crate::scenario::{ScenarioOutcome, ScenarioSpec};
@@ -84,8 +84,7 @@ use std::time::{Duration, SystemTime};
 ///
 /// Bump this whenever the canonical serialization, the hash function, or
 /// the meaning of any [`ScenarioSpec`] field changes; old cache entries are
-/// then invisible to the new format instead of silently wrong. The CI cache
-/// key in `.github/workflows/ci.yml` mirrors this constant.
+/// then invisible to the new format instead of silently wrong.
 pub const KEY_FORMAT_VERSION: u32 = 1;
 
 /// Engine-behaviour version tag embedded in every [`spec_key`].

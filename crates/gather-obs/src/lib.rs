@@ -21,7 +21,7 @@
 //!   enabled and stay allocation-free.
 //! * **Names are the schema.** Metrics are registered by name; a name
 //!   may carry a Prometheus-style label suffix
-//!   (`coord_daemon_rows_total{daemon="127.0.0.1:7177"}`) which the
+//!   (`coord_rows_total{daemon="127.0.0.1:7177"}`) which the
 //!   exposition renderer passes through verbatim.
 //! * **Snapshots are plain data.** [`MetricsSnapshot`] is a flat,
 //!   JSON-roundtrippable value so it can ride the sweep-service wire

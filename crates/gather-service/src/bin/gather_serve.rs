@@ -12,13 +12,13 @@
 //!
 //! Binds, prints (and optionally writes to `--port-file`) the actual
 //! listening address — `--addr 127.0.0.1:0` picks an ephemeral port, which
-//! is how CI and tests avoid port collisions — then serves until a client
+//! is how scripts and tests avoid port collisions — then serves until a client
 //! sends `Shutdown`. Connections idle past `--idle-timeout-secs`
 //! (default 300; `0` disables) are reaped so abandoned clients cannot pin
-//! handler threads and file descriptors forever. The cache directory is shared with local sweeps: runs
-//! cached by `cargo run --bin cache_probe` (or any `Sweep::cache` user
-//! pointed at the same directory) are served without simulating, and
-//! vice versa.
+//! handler threads and file descriptors forever. The cache directory is
+//! shared with local sweeps: runs cached by any `Sweep::cache` user pointed
+//! at the same directory (the experiment binaries use `results/cache`) are
+//! served without simulating, and vice versa.
 //!
 //! `--metrics-addr` additionally serves the process-global
 //! [`gather_obs`] registry as Prometheus text over plain TCP (paths

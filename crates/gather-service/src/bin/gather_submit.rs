@@ -14,10 +14,11 @@
 //! `Table::from_sweep` the experiment binaries use, with the sweep-stats
 //! line (cells / cache hits / simulated / errors) on stderr.
 //!
-//! `--out` writes the row array as compact JSON — byte-comparable across
-//! runs, which is how CI asserts that a re-submitted sweep is served
-//! identically from cache. `--expect-all-hits` exits nonzero unless every
-//! cell was a cache hit (zero simulated, zero errors).
+//! `--out` writes the row array as compact JSON, byte-comparable across
+//! runs and with the rows of a local run, so a script can check that a
+//! re-submitted sweep is served identically from cache
+//! (`tests/cli.rs` does). `--expect-all-hits` exits 1 unless every cell
+//! was a cache hit (zero simulated, zero errors).
 //!
 //! `--metrics` pulls the daemon's metrics registry in-band (the `Metrics`
 //! protocol frame — no telemetry endpoint needed) and prints one

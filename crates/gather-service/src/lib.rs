@@ -29,7 +29,7 @@
 //! (PR 1), and results are content-addressed by
 //! [`gather_core::cache::spec_key`] (PR 3). Purity makes sharding trivially
 //! deterministic — any worker count yields the same row set — and content
-//! addressing makes the daemon's cache shareable with local runs, CI, and
+//! addressing makes the daemon's cache shareable with local runs and
 //! other daemons pointing at the same directory.
 //!
 //! ## In-process quickstart

@@ -45,13 +45,17 @@
 //! stays in sync: an oversized line is consumed up to its newline before
 //! the error is reported) and distinguishes clean EOF, I/O failure,
 //! oversized frames and parse failures, so servers can answer malformed
-//! input with a structured [`Response::Error`] instead of dying.
+//! input with a structured [`Response::Error`] instead of dying. The
+//! daemon decodes requests with [`read_request`], which also rejects a
+//! frame that repeats a key.
 
 use gather_core::artifact::ArtifactStats;
 use gather_core::scenario::ScenarioSpec;
 use gather_core::sweep::{CellRange, SweepRow, SweepSpec, SweepStats};
 use gather_obs::{Counter, MetricsSnapshot, Registry};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -299,6 +303,42 @@ pub fn read_frame<T: Deserialize>(r: &mut impl BufRead) -> Result<Option<T>, Fra
         return serde_json::from_str(trimmed)
             .map(Some)
             .map_err(FrameError::Parse);
+    }
+}
+
+/// Reads the next frame as a [`Request`]: the daemon's decode step.
+///
+/// As [`read_frame`], except that a frame in which any object repeats a
+/// key is a [`FrameError::Parse`]. The generic decoder keeps a repeated
+/// key's first value, so `{"Cancel":{"job":3,"job":4}}` would cancel job 3
+/// when its sender may have meant 4. Unknown fields are still accepted, so
+/// a newer client's optional field reaches an older daemon.
+pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, FrameError> {
+    let Some(value) = read_frame::<Value>(r)? else {
+        return Ok(None);
+    };
+    if let Some(key) = repeated_key(&value) {
+        let message = format!("repeated key `{key}`");
+        return Err(FrameError::Parse(serde_json::Error::custom(message)));
+    }
+    serde_json::from_value(&value)
+        .map(Some)
+        .map_err(FrameError::Parse)
+}
+
+/// The first key that some object in `value` holds twice.
+fn repeated_key(value: &Value) -> Option<&str> {
+    match value {
+        Value::Object(entries) => {
+            let mut seen = HashSet::with_capacity(entries.len());
+            entries
+                .iter()
+                .find(|(key, _)| !seen.insert(key.as_str()))
+                .map(|(key, _)| key.as_str())
+                .or_else(|| entries.iter().find_map(|(_, v)| repeated_key(v)))
+        }
+        Value::Array(items) => items.iter().find_map(repeated_key),
+        _ => None,
     }
 }
 

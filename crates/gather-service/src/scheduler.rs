@@ -37,7 +37,8 @@ use std::time::Instant;
 /// Process-global scheduler metrics ([`gather_obs::Registry::global`]).
 /// Counters are cumulative over every job the daemon ever ran; the two
 /// gauges reconcile to zero whenever the daemon is idle (no queued and no
-/// in-flight cells), which the CI telemetry probe asserts.
+/// in-flight cells), which `tests/telemetry_e2e.rs` and `tests/cli.rs`
+/// assert.
 struct SchedObs {
     jobs: Arc<Counter>,
     cells: Arc<Counter>,

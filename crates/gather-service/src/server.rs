@@ -17,7 +17,7 @@
 //! failure is an error *row*, not a panic.
 
 use crate::protocol::{
-    frame_io, read_frame, write_frame, FrameError, Request, Response, MAX_CELLS_PER_SUBMIT,
+    frame_io, read_request, write_frame, FrameError, Request, Response, MAX_CELLS_PER_SUBMIT,
     PROTOCOL_VERSION,
 };
 use crate::scheduler::{JobEvent, Scheduler};
@@ -192,12 +192,12 @@ fn handle_connection(
     trace::event("conn_open", &peer);
     let _guard = ConnGuard;
     // The kernel-level read timeout is the reaper: a connection that sends
-    // nothing for `idle_timeout` wakes the blocked `read_frame` with
+    // nothing for `idle_timeout` wakes the blocked `read_request` with
     // `WouldBlock`/`TimedOut` below and the handler (thread + fd) exits.
     stream.set_read_timeout(idle_timeout)?;
     let (mut reader, mut writer) = frame_io(stream)?;
     loop {
-        let request = match read_frame::<Request>(&mut reader) {
+        let request = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return Ok(()), // clean EOF between frames
             // The idle timer fired: reap the connection quietly.

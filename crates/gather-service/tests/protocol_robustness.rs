@@ -66,6 +66,10 @@ fn malformed_oversized_and_unknown_frames_get_structured_errors() {
             b"{\"SubmitSweep\":{\"sweep\":42,\"workers\":null}}\n".to_vec(),
         ),
         ("unknown unit tag", b"\"Frobnicate\"\n".to_vec()),
+        (
+            "repeated key",
+            b"{\"Status\":{\"job\":null,\"job\":null}}\n".to_vec(),
+        ),
         ("oversized line", oversized),
         ("non-utf8 bytes", b"\xff\xfe\xfd\n".to_vec()),
     ];

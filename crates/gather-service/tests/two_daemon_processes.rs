@@ -2,49 +2,37 @@
 //! segment of its own, and each serves what the other stored — including
 //! the finished cells of a daemon killed mid-grid.
 
+mod process;
+
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
 use gather_core::sweep::{SweepReport, SweepSpec};
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_sim::placement::PlacementKind;
+use process::{temp_dir, Proc};
 use std::fs;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::thread::sleep;
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::process::Command;
 
 /// A `gather-serve` child process, killed when dropped.
 struct Daemon {
-    child: Child,
+    proc: Proc,
     addr: SocketAddr,
 }
 
 impl Daemon {
     fn spawn(cache_dir: &Path, port_file: &Path) -> Daemon {
-        let _ = fs::remove_file(port_file);
-        let child = Command::new(env!("CARGO_BIN_EXE_gather-serve"))
-            .args(["--addr", "127.0.0.1:0", "--workers", "2"])
-            .arg("--cache-dir")
-            .arg(cache_dir)
-            .arg("--port-file")
-            .arg(port_file)
-            .stdout(Stdio::null())
-            .spawn()
-            .expect("start gather-serve");
-        let started = Instant::now();
-        let addr = loop {
-            let written = fs::read_to_string(port_file).unwrap_or_default();
-            if let Ok(addr) = written.trim().parse() {
-                break addr;
-            }
-            assert!(
-                started.elapsed() < Duration::from_secs(30),
-                "gather-serve wrote no port file"
-            );
-            sleep(Duration::from_millis(10));
-        };
-        Daemon { child, addr }
+        let mut proc = Proc::spawn(
+            Command::new(env!("CARGO_BIN_EXE_gather-serve"))
+                .args(["--addr", "127.0.0.1:0", "--workers", "2"])
+                .arg("--cache-dir")
+                .arg(cache_dir)
+                .arg("--port-file")
+                .arg(port_file),
+        );
+        let addr = proc.addr(port_file);
+        Daemon { proc, addr }
     }
 
     fn run(&self, sweep: &SweepSpec) -> SweepReport {
@@ -53,28 +41,10 @@ impl Daemon {
             .run_sweep(sweep, None)
             .expect("sweep completes")
     }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        self.kill();
-    }
 }
 
 fn rows_json(report: &SweepReport) -> String {
     serde_json::to_string(&report.rows).expect("rows serialize")
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gather-two-daemons-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }
 
 /// Enough cells that a daemon killed after its first row leaves most of
@@ -98,7 +68,7 @@ fn second_grid() -> SweepSpec {
 
 #[test]
 fn two_daemon_processes_share_one_store() {
-    let dir = temp_dir("store");
+    let dir = temp_dir("two-daemons-store");
     let cache = dir.join("cache");
     let mut a = Daemon::spawn(&cache, &dir.join("a.port"));
     let b = Daemon::spawn(&cache, &dir.join("b.port"));
@@ -127,7 +97,7 @@ fn two_daemon_processes_share_one_store() {
     let mut client = Client::connect(a.addr).expect("connect to A");
     let mut stream = client.submit_sweep(&grid, None).expect("A accepts");
     stream.next_row().expect("A streams").expect("a first row");
-    a.kill();
+    a.proc.kill();
     stream.abandon();
 
     let resumed = b.run(&grid);

@@ -1,5 +1,5 @@
-//! Fixed-seed fuzzing of the daemon's trust boundary: `read_frame` splitting
-//! a byte stream into frames and decoding each as a `Request`.
+//! Fixed-seed fuzzing of the daemon's trust boundary: `read_request`
+//! splitting a byte stream into frames and decoding each as a `Request`.
 //!
 //! Streams of real request frames are mutated byte-wise with the shared
 //! seeded mutator. Every frame read from a mutated stream must be an error
@@ -14,7 +14,7 @@ mod mutate;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec, ScenarioSpec};
 use gather_core::sweep::{CellRange, SweepSpec};
 use gather_graph::generators::Family;
-use gather_service::protocol::{read_frame, write_frame, FrameError, Request};
+use gather_service::protocol::{read_request, write_frame, FrameError, Request};
 use gather_sim::placement::PlacementKind;
 use gather_sim::FaultPlan;
 use mutate::{mutate, Rng};
@@ -65,11 +65,11 @@ fn read_all(bytes: &[u8]) -> Vec<Request> {
     let mut stream = Cursor::new(bytes);
     let mut accepted = Vec::new();
     loop {
-        match read_frame::<Request>(&mut stream) {
+        match read_request(&mut stream) {
             Ok(None) => return accepted,
             Ok(Some(request)) => {
                 let line = frame(&request);
-                let again = read_frame::<Request>(&mut Cursor::new(&line))
+                let again = read_request(&mut Cursor::new(&line))
                     .unwrap_or_else(|e| panic!("written frame fails to read ({e}): {line:?}"))
                     .expect("one frame was written");
                 assert_eq!(again, request);
@@ -158,9 +158,9 @@ fn seeded_byte_mutations_of_a_stream_spare_the_frames_after_the_damage() {
 #[test]
 fn hand_made_edge_frames_error_or_round_trip() {
     // (frame, accepted): out-of-range and non-integer numbers, unknown and
-    // doubled tags, and a byte-order mark are errors; an absent `Option`,
-    // an unknown field and a repeated key (the first value wins) decode to
-    // requests that round-trip.
+    // doubled tags, a repeated key at any depth and a byte-order mark are
+    // errors; an absent `Option` and an unknown field decode to requests
+    // that round-trip.
     for (line, accepted) in [
         (r#"{"Cancel":{"job":-1}}"#, false),
         (r#"{"Cancel":{"job":18446744073709551616}}"#, false),
@@ -171,13 +171,22 @@ fn hand_made_edge_frames_error_or_round_trip() {
         (r#"{"SubmitSweep":{"sweep":{},"workers":null}}"#, false),
         (r#"{"Status":{}}"#, true),
         (r#"{"Cancel":{"job":1,"extra":true}}"#, true),
-        (r#"{"Cancel":{"job":3,"job":4}}"#, true),
+        (r#"{"Cancel":{"job":3,"job":4}}"#, false),
+        (r#"{"Cancel":{"job":3,"job":3}}"#, false),
+        (r#"{"Status":{"job":null,"job":2}}"#, false),
     ] {
         let got = read_all(format!("{line}\n").as_bytes());
         assert_eq!(got.len(), usize::from(accepted), "{line}");
     }
+    // A key repeated deep inside a submission is found too.
+    let submit = String::from_utf8(frame(&requests()[0])).expect("utf-8");
+    let doubled = submit.replacen(r#""n":7"#, r#""n":7,"n":8"#, 1);
+    assert_ne!(doubled, submit);
+    assert_eq!(read_all(submit.as_bytes()).len(), 1);
+    assert!(read_all(doubled.as_bytes()).is_empty());
+    // The rejected frame is consumed: the next one on the stream arrives.
     assert_eq!(
-        read_all(b"{\"Cancel\":{\"job\":3,\"job\":4}}\n"),
-        vec![Request::Cancel { job: 3 }]
+        read_all(b"{\"Cancel\":{\"job\":3,\"job\":4}}\n{\"Cancel\":{\"job\":4}}\n"),
+        vec![Request::Cancel { job: 4 }]
     );
 }

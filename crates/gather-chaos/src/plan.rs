@@ -103,8 +103,9 @@ pub struct Window {
 ///
 /// The default plan injects nothing: a proxy under `ChaosPlan::default()`
 /// is a transparent TCP relay (pinned by `tests/proxy.rs` — rows through
-/// it are byte-identical to a direct connection).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// it are byte-identical to a direct connection). Every absent field means
+/// "that action is off", so a minimal `{"seed": 7}` plan file is valid.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChaosPlan {
     /// Master seed every decision derives from.
     pub seed: u64,
@@ -119,51 +120,8 @@ pub struct ChaosPlan {
     /// Detectable byte corruption, if any.
     pub corrupt: Option<Corrupt>,
     /// Stall windows; empty means the proxy never blackholes.
+    #[serde(default)]
     pub blackhole: Vec<Window>,
-}
-
-// Hand-written serde (mirroring `FaultPlan`): every absent field means
-// "that fault is off", so a minimal `{"seed": 7}` plan file is valid and
-// old captures stay parseable as the schema grows.
-impl Serialize for ChaosPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("delay".to_string(), self.delay.to_value()),
-            ("throttle".to_string(), self.throttle.to_value()),
-            (
-                "drop_after_frames".to_string(),
-                self.drop_after_frames.to_value(),
-            ),
-            ("truncate".to_string(), self.truncate.to_value()),
-            ("corrupt".to_string(), self.corrupt.to_value()),
-            ("blackhole".to_string(), self.blackhole.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ChaosPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "ChaosPlan")?;
-        let blackhole = match obj.iter().find(|(k, _)| k == "blackhole") {
-            Some((_, v)) => Vec::<Window>::from_value(v)?,
-            None => Vec::new(),
-        };
-        Ok(ChaosPlan {
-            seed: serde::from_field(obj, "seed")?,
-            delay: serde::from_field(obj, "delay")?,
-            throttle: serde::from_field(obj, "throttle")?,
-            drop_after_frames: serde::from_field(obj, "drop_after_frames")?,
-            truncate: serde::from_field(obj, "truncate")?,
-            corrupt: serde::from_field(obj, "corrupt")?,
-            blackhole,
-        })
-    }
-
-    // A missing plan is the fault-free plan (mirrors `FaultPlan`).
-    fn missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(ChaosPlan::default())
-    }
 }
 
 impl ChaosPlan {

@@ -120,3 +120,14 @@ fn out_of_range_field_values_are_rejected() {
         assert!(!parse_round_trips(mutated.as_bytes()), "{to} was accepted");
     }
 }
+
+#[test]
+fn a_deeply_nested_plan_is_an_error() {
+    for depth in [10_000, 100_000] {
+        let run = "[".repeat(depth);
+        assert!(!parse_round_trips(run.as_bytes()));
+        let inside = DOC_PLAN.replacen("\"blackhole\": [", &format!("\"blackhole\": {run}"), 1);
+        assert_ne!(inside, DOC_PLAN);
+        assert!(!parse_round_trips(inside.as_bytes()));
+    }
+}

@@ -54,6 +54,7 @@ pub struct CheckSpec {
     /// in [`ScenarioSpec`].
     pub seed: u64,
     /// Whose interleavings to exhaust.
+    #[serde(default)]
     pub scheduler: Scheduler,
     /// Liveness bound override; `None` uses [`suggested_round_bound`].
     pub round_bound: Option<u64>,
@@ -67,6 +68,7 @@ pub struct CheckSpec {
     /// termination safety predicate stays global, so a builtin whose
     /// detection fires without the (frozen but observable) crashed robot
     /// yields a regular, replayable counterexample.
+    #[serde(default)]
     pub faults: FaultPlan,
     /// The verdict this spec is pinned to in a matrix (missing field:
     /// [`Verdict::Verified`] is required). [`run_check`] ignores it; the

@@ -195,7 +195,7 @@ impl AlgorithmSpec {
 }
 
 /// Everything needed to run one experiment, as one serializable value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// The environment graph.
     pub graph: GraphSpec,
@@ -209,46 +209,12 @@ pub struct ScenarioSpec {
     /// Safety cap on simulated rounds.
     pub max_rounds: u64,
     /// Crash/Byzantine faults injected into the run (empty = fault-free).
-    /// Fault robot labels refer to the placement's robot ids. The
-    /// hand-written serde below omits this field when empty, so fault-free
+    /// Fault robot labels refer to the placement's robot ids. An empty plan
+    /// is not serialized (and an absent one parses as empty), so fault-free
     /// specs keep their exact pre-fault canonical JSON — and therefore their
     /// [`spec_key`]s and cached results — unchanged.
+    #[serde(default, skip_serializing_if = "FaultPlan::is_empty")]
     pub faults: FaultPlan,
-}
-
-// Serde is hand-written (not derived) because the vendored derive emits
-// every field unconditionally and `spec_key` hashes the canonical JSON:
-// emitting `faults` for fault-free specs would silently re-key every
-// existing cached result.
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("graph".to_string(), self.graph.to_value()),
-            ("placement".to_string(), self.placement.to_value()),
-            ("algorithm".to_string(), self.algorithm.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("max_rounds".to_string(), self.max_rounds.to_value()),
-        ];
-        if !self.faults.is_empty() {
-            fields.push(("faults".to_string(), self.faults.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "ScenarioSpec")?;
-        Ok(ScenarioSpec {
-            graph: serde::from_field(obj, "graph")?,
-            placement: serde::from_field(obj, "placement")?,
-            algorithm: serde::from_field(obj, "algorithm")?,
-            seed: serde::from_field(obj, "seed")?,
-            max_rounds: serde::from_field(obj, "max_rounds")?,
-            // Absent in pre-fault specs: defaults to the empty plan.
-            faults: serde::from_field(obj, "faults")?,
-        })
-    }
 }
 
 /// SplitMix64 finalizer: decorrelates the derived sub-seeds.

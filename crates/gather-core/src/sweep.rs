@@ -199,7 +199,7 @@ impl Sweep {
 /// file. It carries none of the execution knobs (thread count, cache
 /// wiring): those belong to whoever runs the grid, and
 /// [`SweepSpec::into_sweep`] adds them for a local run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Graph axis points.
     pub graphs: Vec<GraphSpec>,
@@ -212,48 +212,10 @@ pub struct SweepSpec {
     /// Per-scenario round cap shared by every cell.
     pub max_rounds: u64,
     /// Fault-plan axis points (an empty list — the default — behaves as the
-    /// single fault-free plan). The hand-written serde below omits the field
-    /// when empty, so pre-fault grid JSON and fault-less grids stay
-    /// byte-identical on the wire.
+    /// single fault-free plan). An empty list is not serialized, so pre-fault
+    /// grid JSON and fault-less grids stay byte-identical on the wire.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub faults: Vec<FaultPlan>,
-}
-
-// Hand-written for the same reason as `ScenarioSpec`: the vendored derive
-// would emit `"faults":[]` on every fault-less grid, breaking the wire
-// format the service's byte-identity probes pin.
-impl Serialize for SweepSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("graphs".to_string(), self.graphs.to_value()),
-            ("placements".to_string(), self.placements.to_value()),
-            ("algorithms".to_string(), self.algorithms.to_value()),
-            ("seeds".to_string(), self.seeds.to_value()),
-            ("max_rounds".to_string(), self.max_rounds.to_value()),
-        ];
-        if !self.faults.is_empty() {
-            fields.push(("faults".to_string(), self.faults.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for SweepSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "SweepSpec")?;
-        Ok(SweepSpec {
-            graphs: serde::from_field(obj, "graphs")?,
-            placements: serde::from_field(obj, "placements")?,
-            algorithms: serde::from_field(obj, "algorithms")?,
-            seeds: serde::from_field(obj, "seeds")?,
-            max_rounds: serde::from_field(obj, "max_rounds")?,
-            // A bare `Vec` has no missing-field default, so look the key up
-            // by hand: absent means the fault-free axis.
-            faults: match obj.iter().find(|(key, _)| key == "faults") {
-                Some((_, value)) => Deserialize::from_value(value)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// A contiguous, half-open range `[start, end)` of cell indices in a grid's
@@ -483,7 +445,7 @@ impl Default for SweepSpec {
 }
 
 /// One structured result row of a sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepRow {
     /// Graph family name (stable table name).
     pub family: String,
@@ -512,60 +474,10 @@ pub struct SweepRow {
     /// Scenario-level failure, if the run never happened.
     pub error: Option<String>,
     /// Degradation metrics of the cell, present only when its spec carried a
-    /// non-empty fault plan (see [`Degradation`]).
+    /// non-empty fault plan (see [`Degradation`]). Fault-free rows omit the
+    /// key, so they stay byte-identical to pre-fault rows.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub degradation: Option<Degradation>,
-}
-
-// Hand-written serde: rows are byte-compared across executors and against
-// cached pre-fault results, so fault-free rows must omit `degradation`
-// instead of emitting `null` (which the vendored derive would).
-impl Serialize for SweepRow {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("family".to_string(), self.family.to_value()),
-            ("n".to_string(), self.n.to_value()),
-            ("k".to_string(), self.k.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("algorithm".to_string(), self.algorithm.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("closest_pair".to_string(), self.closest_pair.to_value()),
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("total_moves".to_string(), self.total_moves.to_value()),
-            ("messages".to_string(), self.messages.to_value()),
-            (
-                "peak_memory_bits".to_string(),
-                self.peak_memory_bits.to_value(),
-            ),
-            ("detected_ok".to_string(), self.detected_ok.to_value()),
-            ("error".to_string(), self.error.to_value()),
-        ];
-        if let Some(d) = &self.degradation {
-            fields.push(("degradation".to_string(), d.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for SweepRow {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "SweepRow")?;
-        Ok(SweepRow {
-            family: serde::from_field(obj, "family")?,
-            n: serde::from_field(obj, "n")?,
-            k: serde::from_field(obj, "k")?,
-            kind: serde::from_field(obj, "kind")?,
-            algorithm: serde::from_field(obj, "algorithm")?,
-            seed: serde::from_field(obj, "seed")?,
-            closest_pair: serde::from_field(obj, "closest_pair")?,
-            rounds: serde::from_field(obj, "rounds")?,
-            total_moves: serde::from_field(obj, "total_moves")?,
-            messages: serde::from_field(obj, "messages")?,
-            peak_memory_bits: serde::from_field(obj, "peak_memory_bits")?,
-            detected_ok: serde::from_field(obj, "detected_ok")?,
-            error: serde::from_field(obj, "error")?,
-            degradation: serde::from_field(obj, "degradation")?,
-        })
-    }
 }
 
 impl SweepRow {

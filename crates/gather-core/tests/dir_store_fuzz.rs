@@ -419,3 +419,22 @@ fn a_record_changed_after_it_was_indexed_misses_and_the_rest_still_hit() {
     store.put(&fx.entries[1]);
     assert_eq!(fx.hits(&store), [true, true, true]);
 }
+
+#[test]
+fn a_record_whose_entry_nests_deeply_is_a_corrupt_miss() {
+    let fx = SegmentFixture::new("seg-nested");
+    let json = |i: usize| serde_json::to_string(&fx.entries[i]).unwrap();
+    for depth in [10_000, 100_000] {
+        let mut bytes = record(&fx.entries[0].key, &json(0));
+        bytes.extend(record(&fx.entries[1].key, &"[".repeat(depth)));
+        bytes.extend(record(&fx.entries[2].key, &json(2)));
+        let corrupt = corrupt_total();
+        let (store, hits) = fx.lookup(&bytes);
+        assert_eq!(hits, [true, false, true], "depth {depth}");
+        assert!(corrupt_total() > corrupt, "depth {depth}: not counted");
+        assert_eq!(store.len(), 2);
+    }
+    // The legacy one-file-per-entry layout misses too.
+    let legacy = Fixture::new("nested");
+    assert!(!legacy.lookup("[".repeat(10_000).as_bytes()));
+}

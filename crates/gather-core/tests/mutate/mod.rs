@@ -18,13 +18,25 @@ impl Rng {
     }
 }
 
-/// One to three bit flips, inserted bytes, deleted bytes or NUL
-/// overwrites at random positions of `input`.
+use serde_json::MAX_DEPTH;
+
+/// Lengths of the nesting runs [`mutate`] splices in: on both sides of the
+/// JSON parser's depth cap, and far beyond it.
+const NEST_RUNS: [usize; 5] = [
+    MAX_DEPTH - 1,
+    MAX_DEPTH,
+    MAX_DEPTH + 1,
+    2 * MAX_DEPTH,
+    100 * MAX_DEPTH,
+];
+
+/// One to three bit flips, inserted bytes, deleted bytes, NUL overwrites or
+/// spliced runs of `[` / `{"a":` at random positions of `input`.
 pub fn mutate(rng: &mut Rng, input: &[u8]) -> Vec<u8> {
     let mut bytes = input.to_vec();
     for _ in 0..1 + rng.below(3) {
         let at = rng.below(bytes.len());
-        match rng.below(4) {
+        match rng.below(5) {
             0 => bytes[at] ^= 1 << rng.below(8),
             1 => {
                 // Bytes the JSON parser's fast paths branch on, plus
@@ -40,7 +52,12 @@ pub fn mutate(rng: &mut Rng, input: &[u8]) -> Vec<u8> {
             2 => {
                 bytes.remove(at);
             }
-            _ => bytes[at] = 0,
+            3 => bytes[at] = 0,
+            _ => {
+                let open: &[u8] = if rng.below(2) == 0 { b"[" } else { b"{\"a\":" };
+                let run = open.repeat(NEST_RUNS[rng.below(NEST_RUNS.len())]);
+                bytes.splice(at..at, run);
+            }
         }
     }
     bytes

@@ -82,3 +82,15 @@ fn a_repeated_key_parses_to_one_value_and_round_trips() {
         .replacen("\"seeds\": [", "\"seeds\": [9], \"seeds\": [", 1);
     assert!(parse_round_trips(grid.as_bytes()));
 }
+
+#[test]
+fn a_deeply_nested_grid_is_an_error() {
+    for depth in [10_000, 100_000] {
+        let run = "[".repeat(depth);
+        assert!(SweepSpec::from_json(&run).is_err());
+        let inside = GRIDS[0]
+            .1
+            .replacen("\"seeds\": [", &format!("\"seeds\": {run}"), 1);
+        assert!(!parse_round_trips(inside.as_bytes()));
+    }
+}

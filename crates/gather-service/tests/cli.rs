@@ -4,15 +4,17 @@
 //! the compact rows of a local run; `--expect-all-hits` fails on a cold
 //! store; `--shutdown` stops the daemon cleanly; and the metrics that
 //! `gather-submit --metrics` pulls in band agree with the daemon's
-//! `/metrics` scrape on the sweep's exact counts.
+//! `/metrics` scrape on the sweep's exact counts. A frame nested 10 000
+//! deep costs the daemon at most the connection that sent it.
 
 mod process;
 
 use gather_core::sweep::SweepSpec;
+use gather_service::protocol::{read_frame, write_frame, Request, Response};
 use process::{assert_exit, run, temp_dir, Proc};
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::process::Command;
@@ -174,5 +176,30 @@ fn in_band_metrics_and_the_scrape_agree_on_the_probe_counts() {
         );
     }
     assert!(http_get(metrics_addr, "/trace").contains("\"job_submit\""));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_ten_thousand_deep_frame_leaves_the_daemon_serving() {
+    let dir = temp_dir("cli-deep-frame");
+    let (mut daemon, addr) = serve(&dir, &[]);
+    let mut hostile = TcpStream::connect(addr).expect("connect");
+    hostile
+        .write_all(format!("{}\n", "[".repeat(10_000)).as_bytes())
+        .expect("send the deep frame");
+    // An `Error` frame, or this connection closed; nothing else.
+    match read_frame::<Response>(&mut BufReader::new(&hostile)) {
+        Ok(Some(Response::Error { .. }) | None) | Err(_) => {}
+        Ok(Some(other)) => panic!("the deep frame was answered with {other:?}"),
+    }
+    let mut next = TcpStream::connect(addr).expect("connect again");
+    write_frame(&mut next, &Request::Status { job: None }).expect("send Status");
+    match read_frame::<Response>(&mut BufReader::new(&next)) {
+        Ok(Some(Response::Progress { .. })) => {}
+        other => panic!("a fresh connection got {other:?}"),
+    }
+    assert!(daemon.is_running(), "gather-serve died");
+    assert_exit(&submit(addr, &["--shutdown"]), 0, "--shutdown");
+    assert!(daemon.wait().success(), "gather-serve did not exit 0");
     let _ = fs::remove_dir_all(&dir);
 }

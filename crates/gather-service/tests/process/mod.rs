@@ -72,6 +72,11 @@ impl Proc {
         }
     }
 
+    /// True while the child has not exited.
+    pub fn is_running(&mut self) -> bool {
+        self.0.try_wait().expect("poll child").is_none()
+    }
+
     pub fn kill(&mut self) {
         let _ = self.0.kill();
         let _ = self.0.wait();

@@ -14,10 +14,11 @@ mod mutate;
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec, ScenarioSpec};
 use gather_core::sweep::{CellRange, SweepSpec};
 use gather_graph::generators::Family;
-use gather_service::protocol::{read_request, write_frame, FrameError, Request};
+use gather_service::protocol::{read_frame, read_request, write_frame, FrameError, Request};
 use gather_sim::placement::PlacementKind;
 use gather_sim::FaultPlan;
 use mutate::{mutate, Rng};
+use serde_json::Value;
 use std::io::Cursor;
 
 fn grid(json: &str) -> SweepSpec {
@@ -189,4 +190,26 @@ fn hand_made_edge_frames_error_or_round_trip() {
         read_all(b"{\"Cancel\":{\"job\":3,\"job\":4}}\n{\"Cancel\":{\"job\":4}}\n"),
         vec![Request::Cancel { job: 4 }]
     );
+}
+
+#[test]
+fn a_deeply_nested_frame_is_a_parse_error_for_read_request_and_read_frame() {
+    // The parser caps nesting, so neither decoder recurses down these lines;
+    // each one is consumed and the frame behind it still arrives.
+    for depth in [10_000, 100_000] {
+        let mut stream = format!("{}\n", "[".repeat(depth)).into_bytes();
+        stream.extend(frame(&Request::Metrics));
+        let mut requests = Cursor::new(&stream);
+        assert!(matches!(
+            read_request(&mut requests),
+            Err(FrameError::Parse(_))
+        ));
+        assert_eq!(read_request(&mut requests).unwrap(), Some(Request::Metrics));
+        let mut frames = Cursor::new(&stream);
+        assert!(matches!(
+            read_frame::<Value>(&mut frames),
+            Err(FrameError::Parse(_))
+        ));
+        assert!(read_frame::<Value>(&mut frames).unwrap().is_some());
+    }
 }

@@ -30,15 +30,16 @@ pub struct SimConfig {
     /// resolve their nondeterminism with a fixed canonical rule inside
     /// [`crate::engine::Simulator::run`] (exhaustive exploration of all
     /// interleavings is the model checker's job). A missing field in older
-    /// serialized configs deserializes as `FullySync` (see the hand-written
-    /// `Deserialize` on [`Scheduler`]).
+    /// serialized configs deserializes as `FullySync`.
+    #[serde(default)]
     pub scheduler: Scheduler,
     /// Crash/Byzantine faults injected into the run. The default is the
-    /// empty (fault-free) plan; a missing field in older serialized configs
-    /// deserializes as fault-free (see the hand-written `Deserialize` on
-    /// [`FaultPlan`]). With crash faults present the run stops when all
-    /// *survivors* have terminated (crashed robots never terminate) and the
-    /// outcome carries [`crate::metrics::Degradation`] metrics.
+    /// empty (fault-free) plan, which is also what a missing field in older
+    /// serialized configs deserializes as. With crash faults present the run
+    /// stops when all *survivors* have terminated (crashed robots never
+    /// terminate) and the outcome carries [`crate::metrics::Degradation`]
+    /// metrics.
+    #[serde(default)]
     pub faults: FaultPlan,
 }
 

@@ -23,11 +23,11 @@
 //! `(plan seed, robot index, round)` through a SplitMix64 finalizer, so two
 //! runs of the same faulty spec produce identical trajectories.
 //!
-//! Serialization: a `FaultPlan` **absent** from a serialized config
-//! deserializes as the empty plan (see the hand-written `Deserialize`), and
-//! containers that are byte-compared (scenario/sweep specs) omit the field
-//! when the plan is empty — existing fault-free specs keep byte-identical
-//! canonical JSON and cache keys.
+//! Serialization: containers mark their plan `#[serde(default)]`, so a
+//! `FaultPlan` **absent** from a serialized config deserializes as the empty
+//! plan, and containers that are byte-compared (scenario/sweep specs) also
+//! skip serializing an empty plan — existing fault-free specs keep
+//! byte-identical canonical JSON and cache keys.
 
 use crate::robot::{Observation, RobotId};
 use gather_graph::NodeId;
@@ -49,7 +49,7 @@ fn mix(seed: u64, stream: u64) -> u64 {
 /// robot's message type and cannot forge foreign payloads, so every strategy
 /// manipulates *when*, *what observation* or *under which sender label* the
 /// robot's own announcement function runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ByzantineStrategy {
     /// The announcement is suppressed: peers see the robot (co-location
     /// counts include it) but never hear from it — a crash of the radio, not
@@ -69,48 +69,8 @@ pub enum ByzantineStrategy {
     Impersonate,
 }
 
-impl ByzantineStrategy {
-    const ALL: [(ByzantineStrategy, &'static str); 4] = [
-        (ByzantineStrategy::Silent, "Silent"),
-        (ByzantineStrategy::ReplayLast, "ReplayLast"),
-        (ByzantineStrategy::RandomMsg, "RandomMsg"),
-        (ByzantineStrategy::Impersonate, "Impersonate"),
-    ];
-
-    fn name(&self) -> &'static str {
-        Self::ALL
-            .iter()
-            .find(|(s, _)| s == self)
-            .map(|(_, n)| *n)
-            .expect("every strategy is named")
-    }
-}
-
-impl Serialize for ByzantineStrategy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.name().to_string())
-    }
-}
-
-impl Deserialize for ByzantineStrategy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(s) => Self::ALL
-                .iter()
-                .find(|(_, n)| n == s)
-                .map(|(strategy, _)| *strategy)
-                .ok_or_else(|| {
-                    serde::Error::custom(format!("unknown variant `{s}` for ByzantineStrategy"))
-                }),
-            _ => Err(serde::Error::custom(
-                "expected enum representation for ByzantineStrategy",
-            )),
-        }
-    }
-}
-
 /// One fault assigned to one robot, addressed by its label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RobotFault {
     /// The robot freezes forever from `round` onward (it still occupies its
     /// node and is seen by co-located robots).
@@ -138,53 +98,6 @@ impl RobotFault {
     }
 }
 
-impl Serialize for RobotFault {
-    fn to_value(&self) -> serde::Value {
-        match *self {
-            RobotFault::Crash { robot, round } => serde::variant_value(
-                "Crash",
-                serde::Value::Object(vec![
-                    ("robot".to_string(), robot.to_value()),
-                    ("round".to_string(), round.to_value()),
-                ]),
-            ),
-            RobotFault::Byzantine { robot, strategy } => serde::variant_value(
-                "Byzantine",
-                serde::Value::Object(vec![
-                    ("robot".to_string(), robot.to_value()),
-                    ("strategy".to_string(), strategy.to_value()),
-                ]),
-            ),
-        }
-    }
-}
-
-impl Deserialize for RobotFault {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "RobotFault")?;
-        if obj.len() != 1 {
-            return Err(serde::Error::custom(
-                "expected single-variant object for RobotFault",
-            ));
-        }
-        let (name, inner) = &obj[0];
-        let fields = serde::expect_object(inner, "RobotFault variant")?;
-        match name.as_str() {
-            "Crash" => Ok(RobotFault::Crash {
-                robot: serde::from_field(fields, "robot")?,
-                round: serde::from_field(fields, "round")?,
-            }),
-            "Byzantine" => Ok(RobotFault::Byzantine {
-                robot: serde::from_field(fields, "robot")?,
-                strategy: serde::from_field(fields, "strategy")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown variant `{other}` for RobotFault"
-            ))),
-        }
-    }
-}
-
 /// A complete fault assignment for one run: a seed driving every adversarial
 /// choice plus at most one fault per robot.
 ///
@@ -192,7 +105,7 @@ impl Deserialize for RobotFault {
 /// value a missing `faults` field deserializes to; spec containers omit the
 /// field for empty plans so fault-free specs keep their exact pre-fault
 /// canonical JSON (and therefore their cache keys).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed for all adversarial randomness (Byzantine message rewriting).
     pub seed: u64,
@@ -262,31 +175,6 @@ impl FaultPlan {
             crash_round,
             strategy,
         })
-    }
-}
-
-impl Serialize for FaultPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("faults".to_string(), self.faults.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "FaultPlan")?;
-        Ok(FaultPlan {
-            seed: serde::from_field(obj, "seed")?,
-            faults: serde::from_field(obj, "faults")?,
-        })
-    }
-
-    // A config serialized before fault injection existed has no `faults`
-    // field: treat absence as the fault-free plan (mirrors `Scheduler`).
-    fn missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(FaultPlan::default())
     }
 }
 
@@ -556,21 +444,5 @@ mod tests {
         assert_eq!(id0, f.impersonated_id(0, 4, &[1, 2, 3]));
         assert_ne!(id0, 1, "impersonation picks a different robot");
         assert_eq!(f.impersonated_id(0, 0, &[9]), 9, "lone robot: own label");
-    }
-
-    #[test]
-    fn missing_field_hook_yields_the_empty_plan() {
-        // Deserializing a container without a `faults` key exercises
-        // `FaultPlan::missing_field` via `serde::from_field`.
-        let v = serde::Value::Object(vec![]);
-        let plan: FaultPlan = serde::from_field(
-            match &v {
-                serde::Value::Object(o) => o,
-                _ => unreachable!(),
-            },
-            "faults",
-        )
-        .unwrap();
-        assert!(plan.is_empty());
     }
 }

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 /// The model's primary cost is the number of rounds; the paper also discusses
 /// the total number of edge traversals ("cost") and per-robot memory, so all
 /// three are tracked.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Rounds actually executed.
     pub rounds: u64,
@@ -24,10 +24,11 @@ pub struct Metrics {
     /// [`crate::robot::Robot::memory_estimate_bits`]).
     pub peak_memory_bits: BTreeMap<RobotId, usize>,
     /// Degradation metrics, present only for runs with a non-empty
-    /// [`crate::faults::FaultPlan`]. Fault-free runs keep `None`, and the
-    /// hand-written serde below omits the field, so fault-free outcomes
-    /// serialize byte-identically to the pre-fault format (cached results
-    /// stay valid and cache keys stay stable).
+    /// [`crate::faults::FaultPlan`]. Fault-free runs keep `None`, which is
+    /// not serialized, so fault-free outcomes serialize byte-identically to
+    /// the pre-fault format (cached results stay valid and cache keys stay
+    /// stable).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub degradation: Option<Degradation>,
 }
 
@@ -53,49 +54,6 @@ pub struct Degradation {
     /// scheduler activated a robot that could no longer act. A proxy for
     /// scheduling effort wasted on dead robots.
     pub wasted_activations: u64,
-}
-
-// Serde is hand-written (not derived) because the vendored derive emits
-// every field unconditionally — including `degradation: null` — and
-// fault-free `Metrics` are embedded in cached `SimOutcome` JSON that must
-// stay byte-identical to the pre-fault format.
-impl Serialize for Metrics {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("total_moves".to_string(), self.total_moves.to_value()),
-            (
-                "messages_delivered".to_string(),
-                self.messages_delivered.to_value(),
-            ),
-            (
-                "moves_per_robot".to_string(),
-                self.moves_per_robot.to_value(),
-            ),
-            (
-                "peak_memory_bits".to_string(),
-                self.peak_memory_bits.to_value(),
-            ),
-        ];
-        if let Some(d) = &self.degradation {
-            fields.push(("degradation".to_string(), d.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for Metrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "Metrics")?;
-        Ok(Metrics {
-            rounds: serde::from_field(obj, "rounds")?,
-            total_moves: serde::from_field(obj, "total_moves")?,
-            messages_delivered: serde::from_field(obj, "messages_delivered")?,
-            moves_per_robot: serde::from_field(obj, "moves_per_robot")?,
-            peak_memory_bits: serde::from_field(obj, "peak_memory_bits")?,
-            degradation: serde::from_field(obj, "degradation")?,
-        })
-    }
 }
 
 impl Metrics {

@@ -62,7 +62,7 @@ impl Activation {
 /// where the synchrony assumption is load-bearing.
 ///
 /// [`FullySync`]: Scheduler::FullySync
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scheduler {
     /// Every robot is activated in every round (the paper's model).
     #[default]
@@ -74,46 +74,6 @@ pub enum Scheduler {
     /// Exactly one alive robot is activated each round (the sequential /
     /// centralized adversary — the most extreme desynchronization).
     Sequential,
-}
-
-// Serialize/Deserialize are written out by hand (in the derive-compatible
-// unit-variant string format) so that a `Scheduler` field absent from older
-// serialized configs falls back to `FullySync` instead of erroring — the
-// vendored serde has no `#[serde(default)]`, but its `missing_field` hook
-// provides exactly this.
-impl Serialize for Scheduler {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(
-            match self {
-                Scheduler::FullySync => "FullySync",
-                Scheduler::SemiSync => "SemiSync",
-                Scheduler::Sequential => "Sequential",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for Scheduler {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(s) => match s.as_str() {
-                "FullySync" => Ok(Scheduler::FullySync),
-                "SemiSync" => Ok(Scheduler::SemiSync),
-                "Sequential" => Ok(Scheduler::Sequential),
-                other => Err(serde::Error::custom(format!(
-                    "unknown variant `{other}` for Scheduler"
-                ))),
-            },
-            _ => Err(serde::Error::custom(
-                "expected enum representation for Scheduler",
-            )),
-        }
-    }
-
-    fn missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(Scheduler::FullySync)
-    }
 }
 
 impl Scheduler {

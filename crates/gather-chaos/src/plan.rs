@@ -49,6 +49,7 @@ mod tag {
 
 /// Fixed-plus-jitter latency on selected daemon→client frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Delay {
     /// Milliseconds added to every selected frame.
     pub fixed_ms: u64,
@@ -60,6 +61,7 @@ pub struct Delay {
 
 /// Bandwidth cap on the daemon→client direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Throttle {
     /// Pacing rate; 0 disables the throttle rather than stalling forever.
     pub bytes_per_sec: u64,
@@ -67,6 +69,7 @@ pub struct Throttle {
 
 /// Sever selected connections after a fixed number of forwarded frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DropAfter {
     /// Daemon→client frames forwarded before the cut.
     pub frames: u64,
@@ -76,6 +79,7 @@ pub struct DropAfter {
 
 /// Tear selected frames mid-line and sever the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Truncate {
     /// Percent of frames selected (0–100).
     pub prob_pct: u8,
@@ -83,6 +87,7 @@ pub struct Truncate {
 
 /// Overwrite bytes of selected frames with `NUL` (always detectable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Corrupt {
     /// Percent of frames selected (0–100).
     pub prob_pct: u8,
@@ -92,6 +97,7 @@ pub struct Corrupt {
 
 /// A wall-clock stall window, relative to proxy start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Window {
     /// Window start, milliseconds since the proxy started.
     pub start_ms: u64,
@@ -104,8 +110,11 @@ pub struct Window {
 /// The default plan injects nothing: a proxy under `ChaosPlan::default()`
 /// is a transparent TCP relay (pinned by `tests/proxy.rs` — rows through
 /// it are byte-identical to a direct connection). Every absent field means
-/// "that action is off", so a minimal `{"seed": 7}` plan file is valid.
+/// "that action is off", so a minimal `{"seed": 7}` plan file is valid; a
+/// key that names no field, here or in an action, is a parse error, so a
+/// misspelt action cannot silently arm nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChaosPlan {
     /// Master seed every decision derives from.
     pub seed: u64,

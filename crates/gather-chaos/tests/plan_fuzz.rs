@@ -131,3 +131,20 @@ fn a_deeply_nested_plan_is_an_error() {
         assert!(!parse_round_trips(inside.as_bytes()));
     }
 }
+
+#[test]
+fn a_misspelt_key_is_an_error_that_names_it() {
+    // Without `deny_unknown_fields` this parsed as the transparent plan.
+    let typo = r#"{"seed":7,"blackhol":[{"start_ms":0,"end_ms":400}],"dealy":{"fixed_ms":5,"jitter_ms":0,"prob_pct":100}}"#;
+    let err = serde_json::from_str::<ChaosPlan>(typo)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("`blackhol`"), "{err}");
+    // Inside an action too.
+    let inner = DOC_PLAN.replacen("\"jitter_ms\"", "\"jiter_ms\"", 1);
+    assert_ne!(inner, DOC_PLAN);
+    let err = serde_json::from_str::<ChaosPlan>(&inner)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("`jiter_ms`"), "{err}");
+}

@@ -44,11 +44,9 @@ pub struct GatherMachine<'g, R: Robot> {
     graph: &'g PortGraph,
     scheduler: Scheduler,
     initial: SimState<R>,
-    /// Resolved crash faults in force, if any. Byzantine plans are rejected
-    /// at construction: a [`gather_sim::ByzantineStrategy::ReplayLast`]
-    /// fault stores history in the shared step buffers, which would make
-    /// `transition` impure and the traversal unsound. Crash faults are a
-    /// pure function of `state.round`, which the canonical state covers.
+    /// Resolved faults in force, if any. Crash and Byzantine faults alike
+    /// keep `transition` pure: they depend on the fault seed and on state
+    /// the canonical state covers (the round, replayed announcements).
     faults: Option<EngineFaults>,
     /// Step buffers shared across `transition` calls (interior mutability:
     /// `Machine::transition` is `&self`). Reusing them amortizes the
@@ -69,25 +67,17 @@ impl<'g, R: Robot + Clone + Hash> GatherMachine<'g, R> {
         Self::build(graph, robots, scheduler, None)
     }
 
-    /// [`GatherMachine::new`] under a resolved crash-fault table: crashed
-    /// robots freeze (but stay observable) from their crash round on, the
-    /// terminal condition is scoped to the *survivors*, and relaxed
-    /// schedulers stop enumerating activations of already-crashed robots.
-    ///
-    /// Panics if `faults` contains a Byzantine fault (see the `faults` field
-    /// for why those are unsound to model-check) — `run_check` rejects such
-    /// plans with a proper error before ever building a machine.
+    /// [`GatherMachine::new`] under a resolved fault table: crashed robots
+    /// freeze (but stay observable) from their crash round on, the terminal
+    /// condition is scoped to the *survivors*, relaxed schedulers stop
+    /// enumerating activations of already-crashed robots, and Byzantine
+    /// robots' announcements are rewritten as in a simulation.
     pub fn with_faults(
         graph: &'g PortGraph,
         robots: Vec<(R, gather_graph::NodeId)>,
         scheduler: Scheduler,
         faults: EngineFaults,
     ) -> Self {
-        assert_eq!(
-            faults.byzantine_count(),
-            0,
-            "Byzantine faults make the step impure; the checker is crash-only"
-        );
         Self::build(graph, robots, scheduler, Some(faults))
     }
 
@@ -98,17 +88,9 @@ impl<'g, R: Robot + Clone + Hash> GatherMachine<'g, R> {
         faults: Option<EngineFaults>,
     ) -> Self {
         let initial = SimState::new(graph, robots);
-        if scheduler != Scheduler::FullySync {
-            assert!(
-                initial.k() <= 64,
-                "relaxed schedulers support at most 64 robots"
-            );
-        }
-        if faults.is_some() {
-            assert!(
-                initial.k() <= 64,
-                "fault-aware checking supports at most 64 robots"
-            );
+        // Relaxed schedulers and fault tables mask activations in a u64.
+        if scheduler != Scheduler::FullySync || faults.is_some() {
+            assert!(initial.k() <= 64, "checking supports at most 64 robots");
         }
         let bufs = RefCell::new(StepBuffers::new(graph.n(), &initial));
         GatherMachine {
@@ -145,13 +127,7 @@ impl<R: Robot + Clone + Hash> Machine for GatherMachine<'_, R> {
     }
 
     fn actions(&self, state: &SimState<R>) -> Vec<Activation> {
-        let done = match &self.faults {
-            None => state.all_terminated(),
-            // Crashed robots never terminate; the run is over once every
-            // survivor has.
-            Some(f) => f.survivors_terminated(&state.terminated),
-        };
-        if done {
+        if state.survivors_terminated(self.faults.as_ref()) {
             return Vec::new();
         }
         match self.scheduler {
@@ -282,14 +258,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "crash-only")]
-    fn byzantine_plans_are_rejected_at_machine_construction() {
+    fn replay_last_transitions_are_pure() {
         use gather_sim::{ByzantineStrategy, FaultPlan};
-        let (g, robots) = machine(Scheduler::FullySync);
+        let (g, robots) = machine(Scheduler::SemiSync);
         let faults = FaultPlan::new(3)
             .byzantine(2, ByzantineStrategy::ReplayLast)
             .resolve(&[1, 2])
             .unwrap();
-        let _ = GatherMachine::with_faults(&g, robots, Scheduler::FullySync, faults);
+        let m = GatherMachine::with_faults(&g, robots, Scheduler::SemiSync, faults);
+        let s0 = m.initial();
+        let s1 = m.transition(&s0, Activation::All);
+        // The replayed announcement lives in the state, not in the shared
+        // buffers: stepping another state in between changes nothing.
+        let a = m.transition(&s1, Activation::All);
+        let _ = m.transition(&s0, Activation::Subset(0b10));
+        let b = m.transition(&s1, Activation::All);
+        assert_eq!(m.canonicalize(&a), m.canonicalize(&b));
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::traverse::StateClass;
 use gather_graph::{algo, PortGraph};
-use gather_sim::SimState;
+use gather_sim::{EngineFaults, SimState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -78,13 +78,12 @@ pub struct PredicateCtx {
     component: Vec<usize>,
     start_component: Vec<usize>,
     bound: u64,
-    /// `crash_faulted[i]` iff robot index `i` carries a crash fault. Empty
-    /// for fault-free checks. Crash-faulted robots never terminate, so the
-    /// terminal condition and the liveness bound are scoped to the
+    /// The faults in force, if any. Crash-faulted robots never terminate,
+    /// so the terminal condition and the liveness bound are scoped to the
     /// *survivors*; the safety predicates stay global (a crashed robot is
     /// still observable, so terminating away from it is still a wrong
     /// detection).
-    crash_faulted: Vec<bool>,
+    faults: Option<EngineFaults>,
 }
 
 impl PredicateCtx {
@@ -110,36 +109,21 @@ impl PredicateCtx {
             component,
             start_component,
             bound,
-            crash_faulted: Vec::new(),
+            faults: None,
         }
     }
 
     /// Scopes the terminal and liveness predicates to the survivors of
     /// `faults`: crash-faulted robots are not required (or expected) to
     /// terminate. Safety predicates are unaffected.
-    pub fn with_crash_faults(mut self, faults: &gather_sim::EngineFaults) -> Self {
-        self.crash_faulted = (0..self.start_component.len())
-            .map(|i| faults.is_crash_faulted(i))
-            .collect();
+    pub fn with_crash_faults(mut self, faults: &EngineFaults) -> Self {
+        self.faults = Some(faults.clone());
         self
     }
 
     /// The liveness round bound in force.
     pub fn bound(&self) -> u64 {
         self.bound
-    }
-
-    /// Whether every robot the predicates require to terminate has: all of
-    /// them in a fault-free check, the survivors under crash faults.
-    fn required_terminated<R: gather_sim::Robot>(&self, state: &SimState<R>) -> bool {
-        if self.crash_faulted.is_empty() {
-            return state.all_terminated();
-        }
-        state
-            .terminated
-            .iter()
-            .enumerate()
-            .all(|(i, &t)| t || self.crash_faulted[i])
     }
 
     /// Classifies one state: a violation, a legal end state, or a state to
@@ -154,18 +138,17 @@ impl PredicateCtx {
                 });
             }
         }
-        if !state.gathered() {
-            if let Some(i) = state.terminated.iter().position(|&t| t) {
-                return StateClass::Violation(Violation::EarlyTermination {
-                    robot_index: i,
-                    round: state.round,
-                });
-            }
+        if let Some(i) = state.false_detection() {
+            return StateClass::Violation(Violation::EarlyTermination {
+                robot_index: i,
+                round: state.round,
+            });
         }
-        if self.required_terminated(state) {
-            // gathered() holds here (checked above), so this is the legal
-            // "gathering with detection achieved" end state — under crash
-            // faults, the survivor-scoped one.
+        if state.survivors_terminated(self.faults.as_ref()) {
+            // With no false detection, terminated robots imply a gathered
+            // configuration, so this is the legal "gathering with detection
+            // achieved" end state — under crash faults, the survivor-scoped
+            // one.
             return StateClass::Terminal;
         }
         if state.round > self.bound {

@@ -60,10 +60,9 @@ pub struct CheckSpec {
     pub round_bound: Option<u64>,
     /// Visited-state cap override; `None` uses [`TraverseLimits::default`].
     pub max_states: Option<u64>,
-    /// Faults to inject while checking (missing field: fault-free). Only
-    /// *crash* plans are checkable — Byzantine strategies make the engine
-    /// step impure (see [`gather_sim::transition`]) and are rejected
-    /// with [`CheckError::Byzantine`]. Under crash faults the terminal and
+    /// Faults to inject while checking (missing field: fault-free); crash
+    /// and Byzantine plans alike, since the engine step is pure under both
+    /// (see [`gather_sim::transition`]). Under crash faults the terminal and
     /// liveness predicates are scoped to the survivors; the no-early-
     /// termination safety predicate stays global, so a builtin whose
     /// detection fires without the (frozen but observable) crashed robot
@@ -107,7 +106,7 @@ impl CheckSpec {
         self
     }
 
-    /// Replaces the fault plan (crash-only; see the field docs).
+    /// Replaces the fault plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -203,10 +202,6 @@ pub enum CheckError {
     /// The fault plan named robots the placement does not have, or named one
     /// twice.
     Faults(FaultError),
-    /// The fault plan contains a Byzantine fault, which the checker cannot
-    /// soundly explore (the step stops being pure; see
-    /// [`gather_sim::transition`]).
-    Byzantine,
 }
 
 impl fmt::Display for CheckError {
@@ -222,11 +217,6 @@ impl fmt::Display for CheckError {
             CheckError::Graph(e) => write!(f, "graph instantiation failed: {e}"),
             CheckError::Scenario(e) => write!(f, "placement failed: {e}"),
             CheckError::Faults(e) => write!(f, "invalid fault plan: {e}"),
-            CheckError::Byzantine => write!(
-                f,
-                "Byzantine faults are not checkable (the step stops being \
-                 pure); restrict the plan to crashes"
-            ),
         }
     }
 }
@@ -335,17 +325,14 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CheckError> {
     Ok(report_from(spec, bound, outcome))
 }
 
-/// Resolves a spec's fault plan against the placed robot ids, enforcing the
-/// checker's crash-only restriction. `Ok(None)` for fault-free specs.
+/// Resolves a spec's fault plan against the placed robot ids. `Ok(None)`
+/// for fault-free specs.
 pub(crate) fn resolve_check_faults(
     plan: &FaultPlan,
     ids: &[gather_sim::RobotId],
 ) -> Result<Option<EngineFaults>, CheckError> {
     if plan.is_empty() {
         return Ok(None);
-    }
-    if plan.has_byzantine() {
-        return Err(CheckError::Byzantine);
     }
     Ok(Some(plan.resolve(ids)?))
 }
@@ -550,17 +537,29 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_plans_are_rejected_with_a_proper_error() {
+    fn byzantine_checks_run_to_a_definite_verdict_for_every_strategy() {
         use gather_sim::ByzantineStrategy;
-        let s = spec(
-            "uxs_gathering",
-            Family::Path,
-            4,
-            PlacementKind::MaxSpread,
-            2,
-        )
-        .with_faults(FaultPlan::new(1).byzantine(2, ByzantineStrategy::Silent));
-        assert!(matches!(run_check(&s), Err(CheckError::Byzantine)));
+        for strategy in [
+            ByzantineStrategy::Silent,
+            ByzantineStrategy::ReplayLast,
+            ByzantineStrategy::RandomMsg,
+            ByzantineStrategy::Impersonate,
+        ] {
+            let s = spec(
+                "uxs_gathering",
+                Family::Path,
+                4,
+                PlacementKind::MaxSpread,
+                2,
+            )
+            .with_faults(FaultPlan::new(1).byzantine(1, strategy));
+            let report = run_check(&s).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+            assert_ne!(report.verdict, Verdict::Truncated, "{strategy:?}");
+            if let Some(cex) = report.counterexample {
+                cex.verify()
+                    .unwrap_or_else(|e| panic!("{strategy:?}: counterexample replay: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,33 @@
 //! The pinned check matrix, `ci/check_matrix.json`: every entry reaches
 //! the verdict it pins (verified unless it says otherwise), in process
 //! through `run_check` and through `gather-check --matrix`, which exits 1
-//! once any pinned verdict is wrong.
+//! once any pinned verdict is wrong. The Byzantine checks of
+//! `tests/fixtures/byzantine_matrix.json` are held the same way, and on
+//! every fully synchronous entry of either the simulator's false-detection
+//! flag agrees with the checker's early-termination verdict.
 
 #[path = "../../gather-service/tests/process/mod.rs"]
 mod process;
 
-use gather_check::{run_check, CheckMatrix, Verdict};
+use gather_check::{run_check, CheckMatrix, Verdict, Violation};
+use gather_core::registry;
+use gather_sim::{RobotFault, Scheduler};
 use process::{assert_exit, run, temp_dir};
 use std::fs;
 use std::process::Command;
 
 const MATRIX: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/check_matrix.json");
+const BYZANTINE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/byzantine_matrix.json"
+);
 
 fn matrix() -> CheckMatrix {
     serde_json::from_str(include_str!("../../../ci/check_matrix.json")).expect("matrix parses")
+}
+
+fn byzantine_matrix() -> CheckMatrix {
+    serde_json::from_str(include_str!("fixtures/byzantine_matrix.json")).expect("matrix parses")
 }
 
 fn check_matrix(path: &str) -> std::process::Output {
@@ -57,4 +70,56 @@ fn gather_check_exits_1_when_a_pinned_verdict_is_wrong() {
         "a wrong pinned verdict",
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_byzantine_entry_reaches_its_pinned_verdict() {
+    let matrix = byzantine_matrix();
+    let mut violations = 0;
+    for (i, spec) in matrix.checks.iter().enumerate() {
+        assert!(
+            spec.faults
+                .faults
+                .iter()
+                .all(|f| matches!(f, RobotFault::Byzantine { .. })),
+            "check #{i} is a Byzantine check"
+        );
+        let report = run_check(spec).unwrap_or_else(|e| panic!("check #{i}: {e}"));
+        assert_eq!(
+            report.verdict,
+            spec.expect.unwrap_or(Verdict::Verified),
+            "check #{i}"
+        );
+        if let Some(cex) = &report.counterexample {
+            cex.verify().unwrap_or_else(|e| panic!("check #{i}: {e}"));
+            violations += 1;
+        }
+    }
+    assert!(0 < violations && violations < matrix.checks.len());
+    assert_exit(&check_matrix(BYZANTINE), 0, "the Byzantine matrix");
+}
+
+/// `SimState::false_detection` is the one definition of a wrong detection:
+/// a simulation of a fully synchronous check spec flags one exactly when
+/// the checker's single interleaving ends in `EarlyTermination`.
+#[test]
+fn simulated_false_detection_agrees_with_checked_early_termination() {
+    let specs = matrix().checks.into_iter().chain(byzantine_matrix().checks);
+    for spec in specs.filter(|s| s.scheduler == Scheduler::FullySync) {
+        let report = run_check(&spec).expect("check runs");
+        let early = matches!(
+            report.counterexample.map(|c| c.violation),
+            Some(Violation::EarlyTermination { .. })
+        );
+        let simulated = spec
+            .scenario()
+            .run(registry::global())
+            .expect("scenario runs");
+        assert_eq!(
+            simulated.outcome.false_detection,
+            early,
+            "{}",
+            spec.scenario().to_json()
+        );
+    }
 }

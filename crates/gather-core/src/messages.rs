@@ -26,7 +26,7 @@ pub enum Role {
 
 /// One announcement, published at the start of a round and delivered to every
 /// co-located robot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Msg {
     /// §2.1 UXS gathering — sent by a robot currently leading a group.
     /// `intended` is the exit port the leader will take this round (`None`

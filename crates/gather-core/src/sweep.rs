@@ -20,8 +20,7 @@ use crate::artifact::{ArtifactCache, ArtifactStats};
 use crate::cache::{CachePolicy, ResultStore};
 use crate::registry::AlgorithmRegistry;
 use crate::scenario::{
-    AlgorithmSpec, GraphSpec, PlacementSpec, ScenarioError, ScenarioOutcome, ScenarioSpec,
-    DEFAULT_MAX_ROUNDS,
+    AlgorithmSpec, GraphSpec, PlacementSpec, ScenarioOutcome, ScenarioSpec, DEFAULT_MAX_ROUNDS,
 };
 use gather_sim::placement::PlacementKind;
 use gather_sim::runner;
@@ -525,8 +524,9 @@ impl SweepRow {
     }
 
     /// The row of a scenario that failed to run (infeasible placement,
-    /// unknown algorithm, graph construction error).
-    pub fn failed(spec: &ScenarioSpec, error: &ScenarioError) -> Self {
+    /// unknown algorithm, graph construction error, a panic), carrying
+    /// `error`'s text.
+    pub fn failed(spec: &ScenarioSpec, error: impl std::fmt::Display) -> Self {
         SweepRow {
             family: spec.graph.family.name().to_string(),
             n: spec.graph.n,

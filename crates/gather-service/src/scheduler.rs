@@ -559,30 +559,11 @@ fn run_cell(core: &SchedCore, spec: &ScenarioSpec) -> (SweepRow, bool) {
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".to_string());
-            (panic_row(spec, &why), false)
+            (
+                SweepRow::failed(spec, format_args!("cell panicked: {why}")),
+                false,
+            )
         }
-    }
-}
-
-/// An error row for a cell whose execution panicked — same shape as
-/// [`SweepRow::failed`], but a panic carries no
-/// [`gather_core::scenario::ScenarioError`] to wrap.
-fn panic_row(spec: &ScenarioSpec, why: &str) -> SweepRow {
-    SweepRow {
-        family: spec.graph.family.name().to_string(),
-        n: spec.graph.n,
-        k: spec.placement.k,
-        kind: spec.placement.kind,
-        algorithm: spec.algorithm.name.clone(),
-        seed: spec.seed,
-        closest_pair: None,
-        rounds: 0,
-        total_moves: 0,
-        messages: 0,
-        peak_memory_bits: 0,
-        detected_ok: false,
-        error: Some(format!("cell panicked: {why}")),
-        degradation: None,
     }
 }
 

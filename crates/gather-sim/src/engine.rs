@@ -27,7 +27,9 @@ use crate::trace::Trace;
 use gather_graph::{NodeId, PortGraph, PortId};
 use gather_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -53,8 +55,9 @@ pub struct SimOutcome {
     pub all_terminated: bool,
     /// The round by which the last robot terminated, if all did.
     pub termination_round: Option<u64>,
-    /// True if any robot terminated while the robots were **not** all
-    /// co-located — i.e. the algorithm detected gathering incorrectly.
+    /// True if some round ended with a robot terminated while the robots
+    /// were **not** all co-located ([`SimState::false_detection`]) — i.e.
+    /// the algorithm detected gathering incorrectly.
     pub false_detection: bool,
     /// True if the round cap was reached before the stopping condition.
     pub timed_out: bool,
@@ -75,15 +78,17 @@ impl SimOutcome {
 }
 
 /// The complete configuration of a simulation between rounds: every robot's
-/// internal state machine, position, entry port and terminated flag, plus
-/// the global round counter.
+/// internal state machine, position, entry port and terminated flag, the
+/// global round counter, and the announcement history replaying robots
+/// publish from.
 ///
-/// This is the `State` of the pure step function [`transition`]: two equal
-/// `SimState` values evolve identically under equal activations, because the
-/// engine has no other mutable state (message exchange happens entirely
-/// *within* a round — announce, deliver and decide all execute in one step —
-/// so there are never in-flight messages between rounds and the state needs
-/// no message component).
+/// This is the whole `State` of the pure step function [`transition`]: two
+/// equal `SimState` values evolve identically under equal activations and
+/// fault tables, because the engine keeps no other state across rounds.
+/// Message exchange happens entirely *within* a round — announce, deliver
+/// and decide all execute in one step — so there are never in-flight
+/// messages; the one message component is `last_msgs`, the previous
+/// announcement of each [`ByzantineStrategy::ReplayLast`] robot.
 ///
 /// `Hash` covers every field, including the robots themselves (which is why
 /// it requires `R: Hash`); the model checker relies on this to digest states
@@ -104,6 +109,33 @@ pub struct SimState<R> {
     pub ids: Vec<RobotId>,
     /// The round about to execute (starts at 0, incremented per step).
     pub round: u64,
+    /// Each robot's previous announcement, kept only for robots with a
+    /// `ReplayLast` fault (indexed like `robots`). Sized on the first replay,
+    /// so a state without one carries an empty `Vec`.
+    last_msgs: Vec<Option<HeldMsg>>,
+}
+
+/// A robot's announcement held in a [`SimState`] across rounds. Its type is
+/// erased so that `SimState<R>` puts no bound on `R`; hashing goes through
+/// the message's own impl.
+#[derive(Clone)]
+struct HeldMsg(Arc<dyn HashAny>);
+
+/// `Hash` for a type-erased value.
+trait HashAny: Any + Send + Sync {
+    fn hash_dyn(&self, state: &mut dyn Hasher);
+}
+
+impl<M: Any + Hash + Send + Sync> HashAny for M {
+    fn hash_dyn(&self, mut state: &mut dyn Hasher) {
+        self.hash(&mut state);
+    }
+}
+
+impl Hash for HeldMsg {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash_dyn(state);
+    }
 }
 
 impl<R: Robot> SimState<R> {
@@ -137,6 +169,7 @@ impl<R: Robot> SimState<R> {
             terminated: vec![false; k],
             ids,
             round: 0,
+            last_msgs: Vec::new(),
         }
     }
 
@@ -154,14 +187,35 @@ impl<R: Robot> SimState<R> {
     pub fn all_terminated(&self) -> bool {
         self.terminated.iter().all(|&t| t)
     }
+
+    /// True once every robot that can terminate has: all of them without
+    /// `faults`, the survivors under them (crashed robots never terminate).
+    /// This is when a run stops and where the model checker stops
+    /// expanding.
+    pub fn survivors_terminated(&self, faults: Option<&EngineFaults>) -> bool {
+        match faults {
+            None => self.all_terminated(),
+            Some(f) => f.survivors_terminated(&self.terminated),
+        }
+    }
+
+    /// The index of a terminated robot while the robots are not all
+    /// co-located — a false detection — or `None`. This is the one
+    /// definition: [`Simulator::run`] reads it after every round in which a
+    /// robot moved or terminated, and the model checker on every state.
+    pub fn false_detection(&self) -> Option<usize> {
+        if self.gathered() {
+            return None;
+        }
+        self.terminated.iter().position(|&t| t)
+    }
 }
 
 /// What applying a round's actions did, as [`Simulator::run`] needs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RoundEffects {
-    /// Some robot terminated while the robots were not all co-located (the
-    /// engine's false-detection flag; see [`StepBuffers::finish_round`]).
-    false_detection: bool,
+    /// Number of robots that terminated this round.
+    terminated: u64,
     /// No robot moved or terminated: positions, entry ports and terminated
     /// flags are exactly as they were at the start of the round.
     quiet: bool,
@@ -201,13 +255,6 @@ pub struct StepBuffers<R: Robot> {
     slot_msgs: Vec<(u32, u32)>, // slot -> arena range
     observations: Vec<Observation>,
     actions: Vec<Action>,
-    // Per-robot previous announcement, kept only for robots with a
-    // `ByzantineStrategy::ReplayLast` fault (lazily sized on first use, so
-    // fault-free runs never touch it). This is deliberate *cross-round*
-    // buffer state: replay makes the step a function of the buffer history,
-    // which is why the model checker only accepts crash plans (see
-    // [`transition`]).
-    last_msgs: Vec<Option<<R as Robot>::Msg>>,
 }
 
 impl<R: Robot> StepBuffers<R> {
@@ -237,7 +284,6 @@ impl<R: Robot> StepBuffers<R> {
             slot_msgs: Vec::with_capacity(k),
             observations: vec![dummy_obs; k],
             actions: vec![Action::Stay; k],
-            last_msgs: Vec::new(),
         }
     }
 
@@ -298,10 +344,7 @@ impl<R: Robot> StepBuffers<R> {
     /// rewritten per their strategy. `metrics`, when present, accumulates
     /// moves, deliveries and degradation counters.
     ///
-    /// Returns the round's [`RoundEffects`]. Its false-detection flag is set
-    /// if some robot terminated this round while the robots were not all
-    /// co-located (note it reads positions mid-application — a longstanding
-    /// quirk preserved for fixture parity).
+    /// Returns the round's [`RoundEffects`].
     fn finish_round(
         &mut self,
         graph: &PortGraph,
@@ -389,9 +432,11 @@ impl<R: Robot> StepBuffers<R> {
         }
 
         // --- Apply actions simultaneously -----------------------------
-        let mut false_detection = false;
+        // In id order, so an invalid move reports the same robot whatever
+        // the robot vector's order.
+        let mut terminated = 0;
         let mut quiet = true;
-        for i in 0..k {
+        for i in self.order.iter().map(|&i| i as usize) {
             match self.actions[i] {
                 Action::Stay => continue,
                 Action::Move(p) => {
@@ -414,24 +459,13 @@ impl<R: Robot> StepBuffers<R> {
                 }
                 Action::Terminate => {
                     state.terminated[i] = true;
-                    // Longstanding quirk, preserved for fixture parity:
-                    // this reads `positions` mid-application, so moves of
-                    // lower-index robots this round are already visible.
-                    if !state.positions.iter().all(|&p| p == state.positions[0]) {
-                        false_detection = true;
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.false_detections += 1;
-                        }
-                    }
+                    terminated += 1;
                 }
             }
             quiet = false;
         }
         state.round = round + 1;
-        RoundEffects {
-            false_detection,
-            quiet,
-        }
+        RoundEffects { terminated, quiet }
     }
 
     /// Jumps `state` over the rounds every live robot promised to spend
@@ -504,22 +538,31 @@ impl<R: Robot> StepBuffers<R> {
             }
             ByzantineStrategy::ReplayLast => {
                 // Publish last round's announcement; stash the current one
-                // for next round. The first announcement has no
-                // predecessor and goes out as-is.
+                // in the state for next round. The first announcement has
+                // no predecessor and goes out as-is.
                 self.arena_pos[i] = self.arena.len() as u32;
                 let msg = state.robots[i].announce(obs);
-                if self.last_msgs.is_empty() {
-                    self.last_msgs.resize_with(state.k(), || None);
+                if state.last_msgs.is_empty() {
+                    state.last_msgs.resize_with(state.k(), || None);
                 }
-                let replay = self.last_msgs[i].take().unwrap_or_else(|| msg.clone());
-                self.last_msgs[i] = Some(msg);
+                let replay = match state.last_msgs[i].take() {
+                    Some(HeldMsg(held)) => {
+                        let held: Arc<dyn Any + Send + Sync> = held;
+                        let held = held
+                            .downcast()
+                            .expect("robot i stored a message of its type");
+                        Arc::unwrap_or_clone(held)
+                    }
+                    None => msg.clone(),
+                };
+                state.last_msgs[i] = Some(HeldMsg(Arc::new(msg)));
                 self.arena.push((state.ids[i], replay));
             }
             ByzantineStrategy::Impersonate => {
                 // Publish the real message under a seeded other robot's
                 // label, breaking the sender-identity (and id-sorted,
                 // no-duplicate inbox) assumptions peers may rely on.
-                let forged = faults.impersonated_id(i, obs.round, &state.ids);
+                let forged = faults.impersonated_id(i, obs.round);
                 self.arena_pos[i] = self.arena.len() as u32;
                 let msg = state.robots[i].announce(obs);
                 self.arena.push((forged, msg));
@@ -530,13 +573,15 @@ impl<R: Robot> StepBuffers<R> {
 
 /// One activation step as a **pure function**: returns the successor of
 /// `state` under `activation` (and the resolved fault table, if any) without
-/// touching `state` itself. Equal inputs give equal outputs — the engine
-/// keeps no hidden mutable state and message exchange completes within the
-/// step (see [`SimState`]).
+/// touching `state` itself. Equal inputs give equal outputs under every
+/// fault kind — [`SimState`] is the step's whole state: crashes are a
+/// function of `state.round`, Byzantine rewriting of the fault seed, the
+/// round and `state.last_msgs`.
 ///
-/// `bufs` is the step's working memory; callers that take many steps reuse
-/// one instance to amortize its allocations. It must have been built for the
-/// same graph size and robot set (any state of the same run is fine).
+/// `bufs` is the step's working memory, with no state across rounds;
+/// callers that take many steps reuse one instance to amortize its
+/// allocations. It must have been built for the same graph size and robot
+/// set (any state of the same run is fine).
 ///
 /// This is the semantic core the model checker explores; [`Simulator::run`]
 /// executes the identical round code in place over one persistent state and
@@ -547,14 +592,6 @@ impl<R: Robot> StepBuffers<R> {
 /// jumps: `transition` always executes exactly one round, whatever the
 /// robots promise (see [`Robot::idle_until`]), which keeps the model
 /// checker's states and counts those of the round-by-round semantics.
-///
-/// **Purity caveat:** crash faults keep the step pure — whether a robot is
-/// crashed is a function of `state.round`, which `SimState`'s `Hash` covers.
-/// A [`ByzantineStrategy::ReplayLast`] fault, however, stores the previous
-/// announcement *in the buffers*, making successive steps depend on buffer
-/// history that no `SimState` field reflects; exhaustive explorers must
-/// therefore restrict themselves to crash-only plans (the model checker
-/// rejects Byzantine plans for exactly this reason).
 pub fn transition<R: Robot + Clone>(
     graph: &PortGraph,
     state: &SimState<R>,
@@ -689,8 +726,8 @@ impl<'g> Simulator<'g> {
         let mut rounds_stepped = 0u64;
         // Jumps repeat a quiet round's effects arithmetically. A trace wants
         // every round's row, a relaxed scheduler activates a different set
-        // each round, and Byzantine rewriting depends on the round (and on
-        // buffered history), so each of those is stepped round by round.
+        // each round, and Byzantine rewriting depends on the round, so each
+        // of those is stepped round by round.
         let may_jump = trace.is_none()
             && self.config.scheduler == Scheduler::FullySync
             && faults.as_ref().is_none_or(|f| f.byzantine_count() == 0);
@@ -726,13 +763,7 @@ impl<'g> Simulator<'g> {
             if let Some(t) = trace.as_mut() {
                 t.push(state.positions.clone());
             }
-            // Crashed robots never terminate, so a faulty run stops when
-            // every *survivor* has (fault-free: all robots, as before).
-            let done_now = match &faults {
-                None => state.all_terminated(),
-                Some(f) => f.survivors_terminated(&state.terminated),
-            };
-            if done_now {
+            if state.survivors_terminated(faults.as_ref()) {
                 break;
             }
             if self.config.stop_at_first_gathering && gathered_now {
@@ -764,17 +795,16 @@ impl<'g> Simulator<'g> {
                 Some(&mut metrics),
             );
             rounds_stepped += 1;
-            if effects.false_detection {
+            // A quiet round leaves the configuration, and so the predicate,
+            // as it was.
+            if !effects.quiet && state.false_detection().is_some() {
                 false_detection = true;
+                metrics.false_detections += effects.terminated;
             }
             if let Some(t) = step_start {
                 obs.phase_step_micros.record_duration(t.elapsed());
             }
-            let done_after = match &faults {
-                None => state.all_terminated(),
-                Some(f) => f.survivors_terminated(&state.terminated),
-            };
-            if done_after && termination_round.is_none() {
+            if state.survivors_terminated(faults.as_ref()) && termination_round.is_none() {
                 termination_round = Some(this_round);
             }
 
@@ -1560,6 +1590,37 @@ mod tests {
     }
 
     #[test]
+    fn replay_history_lives_in_the_state() {
+        use crate::faults::{ByzantineStrategy, FaultPlan};
+        use std::collections::hash_map::DefaultHasher;
+        let g = generators::path(3).unwrap();
+        let s0 = echo_pair();
+        let faults = FaultPlan::new(1)
+            .byzantine(4, ByzantineStrategy::ReplayLast)
+            .resolve(&s0.ids)
+            .unwrap();
+        // Fresh buffers every step, and a step of another state in between:
+        // robot 8 still hears the replayed round-0 announcement in round 1.
+        let s1 = step(&g, &s0, Activation::All, Some(&faults));
+        let _ = step(&g, &s1, Activation::All, Some(&faults));
+        let s2 = step(&g, &s1, Activation::All, Some(&faults));
+        assert_eq!(s2.robots[1].heard, vec![0, 0]);
+        assert!(s0.last_msgs.is_empty(), "nothing replayed, nothing held");
+        // The held announcement is part of the state's hash.
+        let digest = |s: &SimState<RoundEcho>| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let mut forgotten = s1.clone();
+        forgotten.last_msgs.clear();
+        assert_ne!(digest(&s1), digest(&forgotten));
+        // Holding one keeps the state thread-safe.
+        fn thread_safe<T: Send + Sync>(_: &T) {}
+        thread_safe(&s1);
+    }
+
+    #[test]
     fn impersonate_forges_sender_labels() {
         use crate::faults::{ByzantineStrategy, FaultPlan};
         let g = generators::path(3).unwrap();
@@ -1619,7 +1680,7 @@ mod tests {
         for (i, id) in state.ids.iter().enumerate() {
             assert_eq!(state.positions[i], out.final_positions[id]);
         }
-        // Crash-only steps are pure: throwaway buffers agree.
+        // Crash steps are pure: throwaway buffers agree.
         let mut state2 = SimState::new(&g, mk());
         for _ in 0..rounds {
             state2 = step(&g, &state2, Activation::All, Some(&faults));

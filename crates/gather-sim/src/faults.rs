@@ -20,8 +20,10 @@
 //!   from `(spec, seed, fault plan)` alone.
 //!
 //! Determinism: every adversarial choice is a pure function of
-//! `(plan seed, robot index, round)` through a SplitMix64 finalizer, so two
-//! runs of the same faulty spec produce identical trajectories.
+//! `(plan seed, robot rank, round)` through a SplitMix64 finalizer, where a
+//! robot's rank is its position in ascending-id order. So two runs of the
+//! same faulty spec produce identical trajectories, whatever order the
+//! robot vector lists the robots in.
 //!
 //! Serialization: containers mark their plan `#[serde(default)]`, so a
 //! `FaultPlan` **absent** from a serialized config deserializes as the empty
@@ -140,13 +142,6 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// True if any fault is Byzantine (as opposed to a crash).
-    pub fn has_byzantine(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, RobotFault::Byzantine { .. }))
-    }
-
     /// Resolves the label-addressed plan against a concrete robot id vector
     /// into the index-addressed table the engine consumes.
     ///
@@ -170,10 +165,18 @@ impl FaultPlan {
                 RobotFault::Byzantine { strategy: s, .. } => strategy[idx] = Some(s),
             }
         }
+        let mut sorted_ids = ids.to_vec();
+        sorted_ids.sort_unstable();
+        let rank = ids
+            .iter()
+            .map(|id| sorted_ids.partition_point(|s| s < id))
+            .collect();
         Ok(EngineFaults {
             seed: self.seed,
             crash_round,
             strategy,
+            rank,
+            sorted_ids,
         })
     }
 }
@@ -209,6 +212,12 @@ pub struct EngineFaults {
     seed: u64,
     crash_round: Vec<Option<u64>>,
     strategy: Vec<Option<ByzantineStrategy>>,
+    /// Each index's rank in ascending-id order: what adversarial choices
+    /// are seeded by, so they do not depend on the robot vector's order.
+    rank: Vec<usize>,
+    /// The robot ids in ascending order; `sorted_ids[rank[i]]` is robot
+    /// `i`'s id.
+    sorted_ids: Vec<RobotId>,
 }
 
 impl EngineFaults {
@@ -303,7 +312,7 @@ impl EngineFaults {
     /// fault seed (`n`, `degree` and `round` stay truthful so the robot's
     /// announcement code cannot index out of its own tables).
     pub(crate) fn scramble_observation(&self, index: usize, obs: &Observation) -> Observation {
-        let r = mix(self.seed, (obs.round << 8) ^ index as u64);
+        let r = mix(self.seed, (obs.round << 8) ^ self.rank[index] as u64);
         Observation {
             round: obs.round,
             n: obs.n,
@@ -320,14 +329,14 @@ impl EngineFaults {
     /// The label a [`ByzantineStrategy::Impersonate`] robot publishes under
     /// this round: another robot's label, drawn from the fault seed (its own
     /// when it is the only robot).
-    pub(crate) fn impersonated_id(&self, index: usize, round: u64, ids: &[RobotId]) -> RobotId {
-        let k = ids.len();
+    pub(crate) fn impersonated_id(&self, index: usize, round: u64) -> RobotId {
+        let (rank, k) = (self.rank[index], self.sorted_ids.len());
         if k <= 1 {
-            return ids[index];
+            return self.sorted_ids[rank];
         }
-        let r = mix(self.seed ^ 0xB5_1D, (round << 8) ^ index as u64);
+        let r = mix(self.seed ^ 0xB5_1D, (round << 8) ^ rank as u64);
         let offset = 1 + (r % (k as u64 - 1)) as usize;
-        ids[(index + offset) % k]
+        self.sorted_ids[(rank + offset) % k]
     }
 }
 
@@ -345,8 +354,6 @@ mod tests {
     fn empty_plan_is_default_and_empty() {
         assert!(FaultPlan::default().is_empty());
         assert!(!demo_plan().is_empty());
-        assert!(demo_plan().has_byzantine());
-        assert!(!FaultPlan::new(1).crash(1, 0).has_byzantine());
     }
 
     #[test]
@@ -440,9 +447,40 @@ mod tests {
         );
         assert_eq!((a.round, a.n, a.degree), (5, 10, 3));
         assert!(a.entry_port.unwrap() < 3);
-        let id0 = f.impersonated_id(0, 4, &[1, 2, 3]);
-        assert_eq!(id0, f.impersonated_id(0, 4, &[1, 2, 3]));
+        let id0 = f.impersonated_id(0, 4);
+        assert_eq!(id0, f.impersonated_id(0, 4));
         assert_ne!(id0, 1, "impersonation picks a different robot");
-        assert_eq!(f.impersonated_id(0, 0, &[9]), 9, "lone robot: own label");
+        let lone = FaultPlan::new(7)
+            .byzantine(9, ByzantineStrategy::Impersonate)
+            .resolve(&[9])
+            .unwrap();
+        assert_eq!(lone.impersonated_id(0, 0), 9, "lone robot: own label");
+    }
+
+    #[test]
+    fn adversarial_choices_follow_the_robot_not_its_index() {
+        // The same robots listed in another order: robot 3 is index 2 in
+        // one vector and index 0 in the other, and draws the same values.
+        let plan = FaultPlan::new(7).byzantine(3, ByzantineStrategy::RandomMsg);
+        let sorted = plan.resolve(&[1, 2, 3]).unwrap();
+        let shuffled = plan.resolve(&[3, 1, 2]).unwrap();
+        let obs = Observation {
+            round: 5,
+            n: 10,
+            degree: 3,
+            entry_port: None,
+            colocated: 2,
+        };
+        for round in 0..16 {
+            assert_eq!(
+                sorted.impersonated_id(2, round),
+                shuffled.impersonated_id(0, round)
+            );
+            let obs = Observation { round, ..obs };
+            assert_eq!(
+                sorted.scramble_observation(2, &obs),
+                shuffled.scramble_observation(0, &obs)
+            );
+        }
     }
 }

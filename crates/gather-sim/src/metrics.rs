@@ -46,9 +46,9 @@ pub struct Degradation {
     pub rounds_to_gather_survivors: Option<u64>,
     /// Whether every survivor had terminated when the run stopped.
     pub survivors_terminated: bool,
-    /// Number of robots that declared gathering (terminated) while the
-    /// robots were *not* all on one node — the count of detection failures
-    /// the faults provoked.
+    /// Number of robots that declared gathering (terminated) in a round
+    /// that ended with the robots *not* all on one node — the count of
+    /// detection failures the faults provoked.
     pub false_detections: u64,
     /// Activations spent on already-crashed robots: rounds in which the
     /// scheduler activated a robot that could no longer act. A proxy for
@@ -93,10 +93,9 @@ pub(crate) struct MetricsRecorder {
     pub(crate) rounds: u64,
     pub(crate) total_moves: u64,
     pub(crate) messages_delivered: u64,
-    /// Terminations declared while the robots were not all co-located
-    /// (detection failures). Feeds [`Degradation::false_detections`]; the
-    /// fault-free outcome's boolean `false_detection` flag is derived
-    /// independently and unchanged.
+    /// Terminations declared in rounds that ended with the robots not all
+    /// co-located (detection failures). Feeds
+    /// [`Degradation::false_detections`].
     pub(crate) false_detections: u64,
     /// Activations of already-crashed robots. Feeds
     /// [`Degradation::wasted_activations`].

@@ -175,8 +175,10 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 /// peer from that peer's announcement (the gathering algorithms use this to
 /// follow the *actual* move of a leader rather than its announced intention).
 pub trait Robot {
-    /// The message type exchanged between co-located robots.
-    type Msg: Clone + std::fmt::Debug;
+    /// The message type exchanged between co-located robots. `Hash`,
+    /// `Send`, `Sync` and `'static` because a replayed announcement is part
+    /// of [`crate::SimState`], which stays hashable and thread-safe.
+    type Msg: Clone + std::fmt::Debug + std::hash::Hash + Send + Sync + 'static;
 
     /// This robot's label.
     fn id(&self) -> RobotId;

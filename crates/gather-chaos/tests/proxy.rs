@@ -1,14 +1,16 @@
 //! The chaos proxy against a *real* daemon: every injected fault must
 //! surface to the client as exactly one of the contract outcomes —
 //! byte-identical rows (transparent or merely-slow paths), a structured
-//! transport/parse error (drop, truncate, corrupt), or retry-to-success.
+//! transport/parse error (drop, truncate, corrupt), or coordinator
+//! fail-over to success.
 //! Never a hang, never a silently wrong row.
 
 use gather_chaos::{ChaosPlan, ChaosProxy};
+use gather_coord::{run_sweep, ClientConfig, CoordConfig};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
 use gather_core::sweep::SweepSpec;
 use gather_graph::generators::Family;
-use gather_service::client::{Client, ClientConfig, ClientError};
+use gather_service::client::{Client, ClientError};
 use gather_service::server::{Server, ServerConfig};
 use gather_sim::placement::PlacementKind;
 use std::net::SocketAddr;
@@ -85,10 +87,11 @@ fn a_transparent_proxy_is_byte_invisible() {
     stop_daemon(daemon_addr, daemon);
 }
 
-/// A connection severed after k frames fails the in-flight submission
-/// with a transport error; the configured retry dials a fresh connection
-/// whose (deterministic, per-connection) coin lands the other way, and
-/// the sweep completes byte-identical to a local run.
+/// A connection severed after k frames fails the in-flight chunk with a
+/// transport error; the coordinator, with the proxy as its one daemon,
+/// re-dials a fresh connection whose (deterministic, per-connection) coin
+/// lands the other way, and the sweep completes byte-identical to a local
+/// run.
 #[test]
 fn a_dropped_connection_retries_to_success_on_the_next_dial() {
     let sweep = demo_sweep();
@@ -111,25 +114,36 @@ fn a_dropped_connection_retries_to_success_on_the_next_dial() {
     let drops = counter("chaos_dropped_connections_total");
     let drops_before = drops.get();
 
-    let config = ClientConfig {
-        connect_attempts: 1,
-        submit_attempts: 2,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(20),
-        read_timeout: Some(Duration::from_secs(10)),
-        ..ClientConfig::default()
+    // Connection 0 carries the startup probe's reply and the first chunk's
+    // `Accepted`, then is severed before any row; connection 1 is the
+    // re-probe after that failed chunk.
+    let config = CoordConfig {
+        addrs: vec![handle.addr().to_string()],
+        client: ClientConfig {
+            connect_attempts: 1,
+            submit_attempts: 2,
+            backoff_base: Duration::from_millis(5),
+            backoff_cap: Duration::from_millis(20),
+            read_timeout: Some(Duration::from_secs(10)),
+            ..ClientConfig::default()
+        },
+        ..CoordConfig::default()
     };
-    let report = Client::run_sweep_with_retry(handle.addr(), &config, &sweep, None)
-        .expect("the second connection survives and completes the sweep");
-
+    let outcome =
+        run_sweep(&sweep, &config).expect("the second connection survives and completes the sweep");
     assert_eq!(
-        serde_json::to_string(&report.rows).unwrap(),
+        serde_json::to_string(&outcome.report.rows).unwrap(),
         serde_json::to_string(&local.rows).unwrap(),
         "retry-to-success must still be byte-identical to a local run"
     );
     assert!(
         drops.get() > drops_before,
         "the first connection must actually have been dropped"
+    );
+    let report = &outcome.daemons[0];
+    assert!(
+        !report.died && report.last_error.is_some(),
+        "one failed chunk, then success on the re-dial: {report:?}"
     );
 
     handle.stop();

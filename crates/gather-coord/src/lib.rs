@@ -8,10 +8,12 @@
 //!
 //! ## How it works
 //!
-//! 1. **Probe.** Every configured daemon is liveness-probed through
-//!    [`gather_service::pool::ClientPool`] (a daemon-level `Status` →
-//!    `Progress` round-trip). Dead addresses are excluded up front; a
-//!    fleet with no live daemon is [`CoordError::NoDaemons`].
+//! 1. **Probe.** Every configured daemon is dialed and liveness-probed
+//!    with one daemon-level `Status` → `Progress` round trip under
+//!    [`ClientConfig::probe_timeout`]. A daemon that answers late is
+//!    alive-but-slow and gets a fresh dial; one whose dial or round trip
+//!    fails is excluded up front. Each live connection goes straight to
+//!    its worker. A fleet with no live daemon is [`CoordError::NoDaemons`].
 //! 2. **Split.** The grid's cells — in the same deterministic order
 //!    [`gather_core::sweep::SweepSpec::cells`] defines — are range-split
 //!    evenly into one [`plan::Plan`] shard per live daemon.
@@ -22,10 +24,13 @@
 //!    backpressures the whole fleet instead of buffering unboundedly.
 //! 4. **Fail over.** A chunk that dies mid-stream (transport error,
 //!    daemon-side cancellation, torn frame) returns its *unfinished* cells
-//!    to the plan as orphans, and the worker re-probes and re-dials its
-//!    daemon under the pool's [`gather_service::ClientConfig`]
-//!    backoff policy. A daemon that stays dead has its whole shard
-//!    abandoned to the survivors. Re-dispatch is **idempotent**: rows are
+//!    to the plan as orphans, and the worker re-dials and re-probes its
+//!    daemon under the [`ClientConfig`] backoff policy. A daemon that
+//!    fails [`ClientConfig::submit_attempts`] chunks in a row, or cannot
+//!    be re-probed, is dead: its whole shard is abandoned to the
+//!    survivors. The coordinator is the only layer that resubmits, and
+//!    [`CoordConfig::deadline`] is the only run budget. Re-dispatch is
+//!    **idempotent**: rows are
 //!    pure functions of their specs and content-addressed by
 //!    [`gather_core::cache::spec_key`], so when the fleet shares one
 //!    store, a re-submitted finished cell is a cache hit, not a recompute.
@@ -49,18 +54,17 @@ pub mod plan;
 use gather_core::artifact::ArtifactStats;
 use gather_core::sweep::{CellRange, SweepReport, SweepRow, SweepSpec, SweepStats};
 use gather_obs::{trace, Counter, Gauge, MetricsSnapshot, Registry};
-use gather_service::client::Client;
-use gather_service::pool::ClientPool;
+use gather_service::client::{Client, ClientError};
 use plan::Plan;
 use serde::Serialize;
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use gather_service::client::ClientConfig;
-pub use gather_service::pool::ClientPool as FleetPool;
 
 /// Process-global coordinator metrics ([`gather_obs::Registry::global`]).
 /// Counters are cumulative across every coordinated sweep in this process;
@@ -324,12 +328,10 @@ enum ChunkEnd {
 /// strict subset of the fleet may die mid-run without losing cells.
 pub fn run_sweep(spec: &SweepSpec, config: &CoordConfig) -> Result<CoordOutcome, CoordError> {
     let started = Instant::now();
-    let pool = ClientPool::new(config.addrs.clone(), config.client.clone());
-    let live: Vec<usize> = pool
-        .probe_all()
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, alive)| alive.then_some(i))
+    let live: Vec<(&str, Client)> = config
+        .addrs
+        .iter()
+        .filter_map(|addr| Some((addr.as_str(), probe(addr, &config.client)?)))
         .collect();
     if live.is_empty() {
         return Err(CoordError::NoDaemons);
@@ -342,7 +344,6 @@ pub fn run_sweep(spec: &SweepSpec, config: &CoordConfig) -> Result<CoordOutcome,
         .max(1);
     let plan = Mutex::new(Plan::new(total, live.len(), chunk));
     let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(config.queue.max(1));
-    let max_failures = config.client.submit_attempts.max(1);
     let run_deadline = config.deadline.map(|budget| started + budget);
 
     let mut daemons: Vec<Option<DaemonReport>> = (0..live.len()).map(|_| None).collect();
@@ -357,24 +358,22 @@ pub fn run_sweep(spec: &SweepSpec, config: &CoordConfig) -> Result<CoordOutcome,
     let stop_reporter = AtomicBool::new(false);
     std::thread::scope(|scope| {
         if let Some(interval) = config.progress {
-            let addrs: Vec<String> = live.iter().map(|&i| pool.addr(i).to_string()).collect();
+            let addrs: Vec<String> = live.iter().map(|(addr, _)| addr.to_string()).collect();
             let stop = &stop_reporter;
             scope.spawn(move || progress_loop(interval, total, stop, &addrs));
         }
         let mut handles = Vec::with_capacity(live.len());
-        for (slot, &pool_idx) in live.iter().enumerate() {
+        for (slot, (addr, client)) in live.into_iter().enumerate() {
             let tx = tx.clone();
-            let pool = &pool;
             let plan = &plan;
             handles.push(scope.spawn(move || {
                 worker_loop(
                     slot,
-                    pool_idx,
-                    pool,
+                    addr,
+                    client,
                     plan,
                     spec,
                     config,
-                    max_failures,
                     tx,
                     started,
                     run_deadline,
@@ -589,24 +588,53 @@ fn chunk_read_timeout(config: &CoordConfig, run_deadline: Option<Instant>) -> Op
     }
 }
 
+/// Dials `addr` and asks the cheapest question the protocol has — a
+/// daemon-level `Status` — under the short [`ClientConfig::probe_timeout`].
+/// Returns a connection ready to stream, carrying the regular
+/// `read_timeout`, or `None` when the daemon is dead (the dial or the
+/// round trip failed).
+///
+/// A reply that misses the probe budget means alive-but-slow: a throttled
+/// daemon still answers, and evicting it would shrink the fleet exactly
+/// when the network is at its worst. Its probe connection is mid-frame
+/// (the late reply may still arrive), so the daemon gets a fresh dial.
+fn probe(addr: &str, config: &ClientConfig) -> Option<Client> {
+    let mut client = Client::connect_with_config(addr, config).ok()?;
+    client.set_read_timeout(Some(config.probe_timeout)).ok()?;
+    match client.status(None) {
+        Ok(_) => {}
+        Err(ClientError::Io(e))
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            client = Client::connect_with_config(addr, config).ok()?;
+        }
+        Err(_) => return None,
+    }
+    client.set_read_timeout(config.read_timeout).ok()?;
+    Some(client)
+}
+
 /// One fleet slot's dispatch loop: bite chunks off the shared plan,
-/// stream them, fail over on daemon death; once drained, optionally hedge
-/// other slots' stragglers. Returns `(slot, report)`.
+/// stream them over `client` (the startup probe's connection), fail over
+/// on daemon death; once drained, optionally hedge other slots'
+/// stragglers. Returns `(slot, report)`.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     slot: usize,
-    pool_idx: usize,
-    pool: &ClientPool,
+    addr: &str,
+    client: Client,
     plan: &Mutex<Plan>,
     spec: &SweepSpec,
     config: &CoordConfig,
-    max_failures: u32,
     tx: SyncSender<Event>,
     started: Instant,
     run_deadline: Option<Instant>,
 ) -> (usize, DaemonReport) {
     let mut report = DaemonReport {
-        addr: pool.addr(pool_idx).to_string(),
+        addr: addr.to_string(),
         chunks: 0,
         rows: 0,
         cache_hits: 0,
@@ -618,7 +646,8 @@ fn worker_loop(
     };
     let obs = coord_obs();
     let rows_counter = daemon_rows_counter(&report.addr);
-    let mut client: Option<Client> = None;
+    let mut client = Some(client);
+    let max_failures = config.client.submit_attempts.max(1);
     let mut failures = 0u32;
     loop {
         if run_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
@@ -661,13 +690,10 @@ fn worker_loop(
                 HedgeWait::Drained => break, // nothing left anywhere
             },
         };
-        // (Re-)establish the connection: the pool's probe both checks
-        // liveness and re-dials under the configured backoff policy.
+        // After a failed chunk, re-dial (under the configured backoff
+        // policy) and re-probe before trusting the daemon again.
         if client.is_none() {
-            client = pool
-                .probe(pool_idx)
-                .then(|| pool.take(pool_idx).ok())
-                .flatten();
+            client = probe(addr, &config.client);
         }
         let Some(conn) = client.as_mut() else {
             if is_hedge {
@@ -761,19 +787,16 @@ fn worker_loop(
             }
         }
     }
-    // A surviving daemon reports its instance-cache counters and its full
-    // metrics registry (pulled in-band; tolerated to fail on daemons
-    // predating the Metrics frame), then parks its connection — with the
-    // configured streaming read timeout restored over any chunk-scoped
-    // one — for whoever coordinates next.
-    if !report.died {
-        if let Some(mut conn) = client.take() {
-            if conn.set_read_timeout(config.client.read_timeout).is_ok() {
-                if let Ok(artifacts) = conn.daemon_artifacts() {
-                    report.artifacts = artifacts;
-                    report.metrics = conn.metrics().ok();
-                    pool.put(pool_idx, conn);
-                }
+    // A surviving daemon (a dead one has no connection left) reports its
+    // instance-cache counters and its full metrics registry (pulled
+    // in-band, under the configured read timeout rather than any
+    // chunk-scoped one; tolerated to fail on daemons predating the
+    // Metrics frame).
+    if let Some(mut conn) = client {
+        if conn.set_read_timeout(config.client.read_timeout).is_ok() {
+            if let Ok(artifacts) = conn.daemon_artifacts() {
+                report.artifacts = artifacts;
+                report.metrics = conn.metrics().ok();
             }
         }
     }
@@ -978,6 +1001,39 @@ mod tests {
         assert_eq!(total.placement_hits, 120);
         assert_eq!(total.graph_entries, 2);
         assert!(sum_artifacts(&[]).is_none());
+    }
+
+    #[test]
+    fn a_probe_hands_back_a_streaming_connection_or_none() {
+        use gather_service::server::{Server, ServerConfig};
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let live = server.local_addr().unwrap().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+        let dead = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().to_string()
+        };
+        let config = ClientConfig {
+            connect_attempts: 1,
+            connect_timeout: Some(Duration::from_millis(250)),
+            read_timeout: Some(Duration::from_secs(5)),
+            probe_timeout: Duration::from_millis(900),
+            ..ClientConfig::default()
+        };
+
+        assert!(probe(&dead, &config).is_none(), "a refused dial is dead");
+        let mut client = probe(&live, &config).expect("a serving daemon is live");
+        assert_eq!(
+            client.read_timeout().unwrap(),
+            config.read_timeout,
+            "the probe budget must not outlive the probe"
+        );
+        client.shutdown().unwrap();
+        daemon.join().unwrap().unwrap();
     }
 
     #[test]

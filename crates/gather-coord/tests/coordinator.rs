@@ -10,7 +10,7 @@
 
 use gather_coord::{run_sweep, ClientConfig, CoordConfig, CoordError};
 use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec};
-use gather_core::sweep::{SweepRow, SweepSpec};
+use gather_core::sweep::{SweepRow, SweepSpec, SweepStats};
 use gather_graph::generators::Family;
 use gather_service::client::Client;
 use gather_service::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
@@ -18,6 +18,7 @@ use gather_service::server::{Server, ServerConfig};
 use gather_sim::placement::PlacementKind;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -164,6 +165,149 @@ fn scripted_daemon(
     (addr, handle)
 }
 
+/// The requests a [`logging_daemon`] read, in arrival order, across all
+/// of its connections.
+type RequestLog = Arc<Mutex<Vec<&'static str>>>;
+
+/// An honest fake daemon that logs every request it reads. It serves
+/// `connections` sequential connections, answering `Status` with an empty
+/// `Progress` (the very first one `first_reply_delay` late, like a
+/// throttled daemon) and streaming each ranged submission in full from
+/// the local ground truth; `Metrics` gets a structured error, which the
+/// coordinator tolerates.
+fn logging_daemon(
+    rows: Vec<SweepRow>,
+    first_reply_delay: Duration,
+    connections: usize,
+) -> (SocketAddr, JoinHandle<()>, RequestLog) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind logging daemon");
+    let addr = listener.local_addr().expect("logging daemon address");
+    let log = RequestLog::default();
+    let seen = Arc::clone(&log);
+    let handle = std::thread::spawn(move || {
+        let mut delay = Some(first_reply_delay);
+        for _ in 0..connections {
+            let Ok((stream, _)) = listener.accept() else {
+                return;
+            };
+            let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+            let mut writer = stream;
+            while let Ok(Some(request)) = read_frame::<Request>(&mut reader) {
+                let (name, replies) = match request {
+                    Request::Status { .. } => {
+                        if let Some(delay) = delay.take() {
+                            std::thread::sleep(delay);
+                        }
+                        let progress = Response::Progress {
+                            job: 0,
+                            done: 0,
+                            total: 0,
+                            cancelled: false,
+                            artifacts: None,
+                        };
+                        ("Status", vec![progress])
+                    }
+                    Request::SubmitSweep { range, .. } => {
+                        let range = range.expect("the coordinator always sends ranges");
+                        let mut replies = vec![Response::Accepted {
+                            job: 1,
+                            cells: range.len(),
+                            protocol: PROTOCOL_VERSION,
+                        }];
+                        replies.extend((range.start..range.end).map(|index| Response::Row {
+                            job: 1,
+                            index,
+                            row: rows[index].clone(),
+                        }));
+                        replies.push(Response::Done {
+                            job: 1,
+                            stats: SweepStats {
+                                cells: range.len(),
+                                simulated: range.len(),
+                                ..SweepStats::default()
+                            },
+                        });
+                        ("SubmitSweep", replies)
+                    }
+                    _ => {
+                        let error = Response::Error {
+                            job: None,
+                            message: "not served by this fake".to_string(),
+                        };
+                        ("other", vec![error])
+                    }
+                };
+                seen.lock().unwrap().push(name);
+                // A write fails once the coordinator gave up on this
+                // connection (the late probe reply): serve the next one.
+                if replies.iter().any(|r| write_frame(&mut writer, r).is_err()) {
+                    break;
+                }
+            }
+        }
+    });
+    (addr, handle, log)
+}
+
+/// How many `Status` probes a daemon answered before its first submission.
+fn probes_before_first_submit(log: &RequestLog) -> usize {
+    let log = log.lock().unwrap();
+    assert!(log.contains(&"SubmitSweep"), "no submission: {log:?}");
+    log.iter()
+        .take_while(|&&name| name != "SubmitSweep")
+        .filter(|&&name| name == "Status")
+        .count()
+}
+
+/// The startup probe's connection is the one the worker streams on: each
+/// live daemon answers exactly one `Status` before its first submission.
+#[test]
+fn each_live_daemon_is_probed_once_before_its_first_submission() {
+    let sweep = demo_sweep();
+    let local = sweep.clone().into_sweep().run_default();
+    let fleet: Vec<_> = (0..2)
+        .map(|_| logging_daemon(local.rows.clone(), Duration::ZERO, 1))
+        .collect();
+
+    let config = coord_config(fleet.iter().map(|(addr, ..)| addr.to_string()).collect());
+    let outcome = run_sweep(&sweep, &config).expect("an honest fleet completes the grid");
+
+    assert_eq!(
+        serde_json::to_string(&outcome.report.rows).unwrap(),
+        serde_json::to_string(&local.rows).unwrap()
+    );
+    for (addr, handle, log) in fleet {
+        handle.join().expect("logging daemon joins");
+        assert_eq!(probes_before_first_submit(&log), 1, "{addr}: {log:?}");
+    }
+}
+
+/// A daemon whose probe reply misses `probe_timeout` is alive-but-slow,
+/// not dead: it gets a fresh dial, stays in the fleet and completes its
+/// whole shard.
+#[test]
+fn a_slow_daemon_stays_in_the_fleet_and_completes_its_shard() {
+    let sweep = demo_sweep();
+    let local = sweep.clone().into_sweep().run_default();
+    // Connection 0 carries the late probe reply; connection 1 is the
+    // fresh dial that streams the grid.
+    let (addr, handle, log) = logging_daemon(local.rows.clone(), Duration::from_millis(400), 2);
+
+    let mut config = coord_config(vec![addr.to_string()]);
+    config.client.probe_timeout = Duration::from_millis(100);
+    let outcome = run_sweep(&sweep, &config).expect("a slow daemon is still a fleet member");
+
+    assert_eq!(
+        serde_json::to_string(&outcome.report.rows).unwrap(),
+        serde_json::to_string(&local.rows).unwrap()
+    );
+    let daemon = &outcome.daemons[0];
+    assert!(!daemon.died && daemon.last_error.is_none(), "{daemon:?}");
+    assert_eq!(daemon.rows, local.rows.len(), "{daemon:?}");
+    handle.join().expect("logging daemon joins");
+    assert_eq!(probes_before_first_submit(&log), 1, "{log:?}");
+}
+
 /// A daemon that dies after streaming exactly 2 rows of its first chunk
 /// must have its unfinished cells re-dispatched to the survivor — the
 /// merged report completes, byte-identical to a local run, with no hang.
@@ -173,8 +317,8 @@ fn death_after_k_rows_redispatches_the_rest_to_the_survivor() {
     let local = sweep.clone().into_sweep().run_default();
     let local_rows_json = serde_json::to_string(&local.rows).unwrap();
 
-    // The scripted daemon serves exactly one connection (the pool's probe
-    // plus the first submission), streams 2 rows, dies; subsequent dials
+    // The scripted daemon serves exactly one connection (the startup
+    // probe plus the first submission), streams 2 rows, dies; subsequent dials
     // are refused, so the fail-over declares it dead.
     let (fake_addr, fake) = scripted_daemon(local.rows.clone(), Sabotage::DieAfterRows(2), 1);
     let (real_addr, real) = spawn_daemon(ServerConfig {

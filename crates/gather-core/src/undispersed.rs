@@ -185,7 +185,7 @@ impl UndispersedGathering {
         }
     }
 
-    fn phase2_decide(&mut self, inbox: Inbox<'_, Msg>) -> SubAction {
+    fn phase2_decide(&mut self, obs: &Observation, inbox: Inbox<'_, Msg>) -> SubAction {
         // Digest the Phase 2 state of co-located robots in one pass over the
         // borrowed inbox — no per-round peer buffer (this used to collect a
         // `Vec` every round, the dominant steady-state allocation of sweeps;
@@ -243,11 +243,13 @@ impl UndispersedGathering {
         let node_min = [self.groupid, min_other_gid].into_iter().flatten().min();
         // A co-located finder actually moves this round iff its group id is
         // the node minimum (otherwise it is captured this round and stays).
+        // An honest finder names a port of this node; a stale (replayed)
+        // announcement may name a port this node lacks, so hold position.
         let follow_move_of = |gid: RobotId, intended: Option<PortId>| -> SubAction {
             if Some(gid) == node_min {
                 match intended {
-                    Some(p) => SubAction::Move(p),
-                    None => SubAction::Stay,
+                    Some(p) if p < obs.degree => SubAction::Move(p),
+                    _ => SubAction::Stay,
                 }
             } else {
                 SubAction::Stay
@@ -395,7 +397,7 @@ impl SubAlgorithm for UndispersedGathering {
             return action;
         }
         if round < self.total {
-            return self.phase2_decide(inbox);
+            return self.phase2_decide(obs, inbox);
         }
         self.finished = true;
         SubAction::Finished

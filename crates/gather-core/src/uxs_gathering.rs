@@ -141,7 +141,7 @@ impl SubAlgorithm for UxsGathering {
         }
     }
 
-    fn decide(&mut self, _obs: &Observation, inbox: Inbox<'_, Msg>) -> SubAction {
+    fn decide(&mut self, obs: &Observation, inbox: Inbox<'_, Msg>) -> SubAction {
         self.local_round += 1;
         if self.finished {
             return SubAction::Finished;
@@ -161,9 +161,12 @@ impl SubAlgorithm for UxsGathering {
                             self.finished = true;
                             SubAction::Finished
                         } else {
+                            // An honest co-located leader names a port of
+                            // this node; a stale (replayed) announcement may
+                            // name a port this node lacks, so hold position.
                             match intended {
-                                Some(p) => SubAction::Move(*p),
-                                None => SubAction::Stay,
+                                Some(p) if *p < obs.degree => SubAction::Move(*p),
+                                _ => SubAction::Stay,
                             }
                         }
                     }

@@ -18,25 +18,13 @@ use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Process-global client-side retry counters, split by which loop retried
-/// (connects vs whole submissions). Registered lazily in
+/// Process-global count of connect retries, registered lazily in
 /// [`gather_obs::Registry::global`].
-struct ClientObs {
-    connect_retries: Arc<Counter>,
-    submit_retries: Arc<Counter>,
-}
-
-fn client_obs() -> &'static ClientObs {
-    static OBS: OnceLock<ClientObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let r = Registry::global();
-        ClientObs {
-            connect_retries: r.counter("client_connect_retries_total"),
-            submit_retries: r.counter("client_submit_retries_total"),
-        }
-    })
+fn connect_retries() -> &'static Counter {
+    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| Registry::global().counter("client_connect_retries_total"))
 }
 
 /// SplitMix64 finalizer: the workspace-standard way to derive independent
@@ -48,9 +36,10 @@ fn mix(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Robustness knobs for [`Client::connect_with_config`] and
-/// [`Client::run_sweep_with_retry`]: per-attempt timeouts plus a bounded
-/// exponential-backoff-with-jitter retry policy.
+/// Robustness knobs for [`Client::connect_with_config`] and for the
+/// `gather-coord` coordinator, which dials every daemon through it:
+/// per-attempt timeouts plus a bounded exponential-backoff-with-jitter
+/// retry policy.
 ///
 /// The jitter is *deterministic* — derived from `jitter_seed` and the
 /// attempt number with the same SplitMix64 finalizer the rest of the
@@ -65,23 +54,16 @@ pub struct ClientConfig {
     /// kind `WouldBlock`/`TimedOut` — set this generously above the longest
     /// expected cell, since it also ticks while streaming rows.
     pub read_timeout: Option<Duration>,
-    /// Read timeout for *liveness probes* (see
-    /// [`crate::pool::ClientPool::probe_detailed`]): deliberately short —
-    /// a probe asks the cheapest question the protocol has, so a daemon
-    /// that cannot answer it within this budget is at best alive-but-slow.
-    /// The probe restores the connection's regular `read_timeout` when the
-    /// answer does arrive in time.
+    /// Read timeout for the coordinator's *liveness probe* (a daemon-level
+    /// `Status` round trip): deliberately short — the probe asks the
+    /// cheapest question the protocol has, so a daemon that cannot answer
+    /// it within this budget is at best alive-but-slow. The probe restores
+    /// the connection's regular `read_timeout` before streaming.
     pub probe_timeout: Duration,
-    /// Overall wall-clock budget for [`Client::run_sweep_with_retry`]
-    /// across *all* attempts (`None`: only the per-attempt timeouts
-    /// bound the call). Retrying stops as soon as the remaining budget
-    /// cannot cover the next backoff sleep; the in-flight attempt itself
-    /// is bounded by `read_timeout`, not interrupted mid-stream.
-    pub deadline: Option<Duration>,
     /// Total connect attempts (at least 1).
     pub connect_attempts: u32,
-    /// Total submission attempts for [`Client::run_sweep_with_retry`] (at
-    /// least 1); each failed attempt reconnects from scratch.
+    /// Read only by the coordinator: failed chunks in a row before a
+    /// daemon is declared dead (at least 1). Each failure re-dials.
     pub submit_attempts: u32,
     /// First retry delay; attempt `i` waits `base * 2^(i-1)` (plus jitter).
     pub backoff_base: Duration,
@@ -98,7 +80,6 @@ impl Default for ClientConfig {
             connect_timeout: Some(Duration::from_secs(5)),
             read_timeout: None,
             probe_timeout: Duration::from_secs(1),
-            deadline: None,
             connect_attempts: 5,
             submit_attempts: 3,
             backoff_base: Duration::from_millis(50),
@@ -226,7 +207,7 @@ impl Client {
         let mut last_err = None;
         for attempt in 0..attempts {
             if attempt > 0 {
-                client_obs().connect_retries.inc();
+                connect_retries().inc();
                 trace::event("client_connect_retry", format_args!("attempt={attempt}"));
                 sleep(config.backoff_delay(attempt));
             }
@@ -269,104 +250,10 @@ impl Client {
         Ok(Client { reader, writer })
     }
 
-    /// Submits `sweep` with up to `config.submit_attempts` full
-    /// (reconnect + resubmit) attempts, backing off between them.
-    ///
-    /// Resubmission is *idempotent* by construction: a spec is a pure
-    /// function of its fields and rows are content-addressed by
-    /// [`gather_core::cache::spec_key`], so a retried grid re-serves
-    /// already-computed cells from the daemon's store (when one is
-    /// configured) and recomputes the rest to byte-identical rows — a
-    /// daemon restart between attempts changes nothing but the stats.
-    ///
-    /// Transport failures, torn frames and mid-stream disconnects retry;
-    /// a structured daemon answer ([`ClientError::Remote`], e.g. a
-    /// cancelled job or an over-limit grid) fails fast, since the daemon
-    /// just told us retrying verbatim cannot help.
-    pub fn run_sweep_with_retry(
-        addr: impl ToSocketAddrs,
-        config: &ClientConfig,
-        sweep: &SweepSpec,
-        workers: Option<usize>,
-    ) -> Result<SweepReport, ClientError> {
-        Self::run_sweep_with_retry_sleeper(&addr, config, sweep, workers, &mut std::thread::sleep)
-    }
-
-    /// [`Client::run_sweep_with_retry`] with an injectable sleeper (tests).
-    fn run_sweep_with_retry_sleeper(
-        addr: &impl ToSocketAddrs,
-        config: &ClientConfig,
-        sweep: &SweepSpec,
-        workers: Option<usize>,
-        sleep: &mut impl FnMut(Duration),
-    ) -> Result<SweepReport, ClientError> {
-        let started = Instant::now();
-        Self::run_sweep_with_retry_clocked(addr, config, sweep, workers, sleep, &mut || {
-            started.elapsed()
-        })
-    }
-
-    /// [`Client::run_sweep_with_retry`] with an injectable sleeper *and*
-    /// clock, so the deadline cutoff is unit-testable to the exact
-    /// attempt without real time passing. `elapsed` reports wall time
-    /// since the first attempt started.
-    fn run_sweep_with_retry_clocked(
-        addr: &impl ToSocketAddrs,
-        config: &ClientConfig,
-        sweep: &SweepSpec,
-        workers: Option<usize>,
-        sleep: &mut impl FnMut(Duration),
-        elapsed: &mut impl FnMut() -> Duration,
-    ) -> Result<SweepReport, ClientError> {
-        let attempts = config.submit_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let delay = config.backoff_delay(attempt);
-                // The deadline is a *budget*, not an interrupt: stop
-                // retrying as soon as the remaining budget cannot cover
-                // the next backoff sleep, reporting the last real failure
-                // with the exhaustion on record.
-                if let Some(deadline) = config.deadline {
-                    if elapsed() + delay > deadline {
-                        let last = last_err.expect("at least one submit attempt ran");
-                        return Err(Self::deadline_exhausted(last, attempt, deadline));
-                    }
-                }
-                client_obs().submit_retries.inc();
-                trace::event("client_submit_retry", format_args!("attempt={attempt}"));
-                sleep(delay);
-            }
-            let mut client = match Self::connect_with_sleeper(addr, config, sleep) {
-                Ok(client) => client,
-                Err(e) => {
-                    last_err = Some(ClientError::Io(e));
-                    continue;
-                }
-            };
-            match client.run_sweep(sweep, workers) {
-                Ok(report) => return Ok(report),
-                Err(e @ ClientError::Remote { .. }) => return Err(e),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("at least one submit attempt ran"))
-    }
-
-    /// Wraps the last transport error with the deadline context once the
-    /// retry budget cannot cover another backoff sleep.
-    fn deadline_exhausted(last: ClientError, attempts: u32, deadline: Duration) -> ClientError {
-        let why = format!(
-            "submit deadline of {deadline:?} exhausted after {attempts} attempt(s); last error: {last}"
-        );
-        ClientError::Io(io::Error::new(io::ErrorKind::TimedOut, why))
-    }
-
     /// Changes this connection's socket read timeout in place (both the
     /// buffered reader and the writer share one socket). The coordinator
-    /// uses this to tighten the timeout to a chunk-progress budget
-    /// mid-connection; [`crate::pool::ClientPool::probe_detailed`] uses it
-    /// for its short probe window.
+    /// uses this for its short probe window and to tighten the timeout to
+    /// a chunk-progress budget mid-connection.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.writer.set_read_timeout(timeout)
     }
@@ -384,9 +271,9 @@ impl Client {
         match read_frame::<Response>(&mut self.reader)? {
             Some(response) => Ok(response),
             // A clean close mid-conversation is a *transport* failure (the
-            // daemon is gone), not a protocol violation: retry loops and
-            // coordinators must classify it as daemon death, retryable
-            // against a restarted or surviving daemon.
+            // daemon is gone), not a protocol violation: the coordinator
+            // must classify it as daemon death, retryable against a
+            // restarted or surviving daemon.
             None => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection mid-conversation",
@@ -803,130 +690,5 @@ mod tests {
         // One recorded (not actually slept) delay between each of the 4
         // attempts, exactly the published schedule.
         assert_eq!(slept, config.backoff_schedule());
-    }
-
-    #[test]
-    fn submit_retry_reports_the_last_transport_error() {
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        let config = ClientConfig {
-            connect_attempts: 1,
-            submit_attempts: 3,
-            connect_timeout: Some(Duration::from_millis(250)),
-            ..ClientConfig::default()
-        };
-        let sweep = gather_core::sweep::SweepSpec::new();
-        let mut sleeps = 0usize;
-        let result =
-            Client::run_sweep_with_retry_sleeper(&addr, &config, &sweep, None, &mut |_| {
-                sleeps += 1
-            });
-        assert!(matches!(result, Err(ClientError::Io(_))));
-        // Two inter-submit delays for three attempts (connects don't retry
-        // here: connect_attempts = 1).
-        assert_eq!(sleeps, 2);
-    }
-
-    #[test]
-    fn submit_deadline_cuts_retries_at_the_exact_attempt_the_budget_cannot_cover() {
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        let config = ClientConfig {
-            connect_attempts: 1,
-            submit_attempts: 100,
-            connect_timeout: Some(Duration::from_millis(250)),
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(40),
-            deadline: Some(Duration::from_millis(65)),
-            ..ClientConfig::default()
-        };
-        // The only time that passes in this test is the *fake* clock,
-        // advanced by the fake sleeper — dials against the dead port are
-        // treated as instantaneous. The cutoff is therefore exactly
-        // computable from the published backoff schedule: stop before the
-        // first sleep where slept-so-far + next delay > deadline.
-        let deadline = config.deadline.unwrap();
-        let mut expected_sleeps = 0u32;
-        let mut budget = Duration::ZERO;
-        for attempt in 1..config.submit_attempts {
-            let delay = config.backoff_delay(attempt);
-            if budget + delay > deadline {
-                break;
-            }
-            budget += delay;
-            expected_sleeps += 1;
-        }
-        assert!(
-            expected_sleeps >= 1 && expected_sleeps + 1 < config.submit_attempts,
-            "the deadline, not the attempt cap, must be the binding constraint \
-             ({expected_sleeps} sleeps)"
-        );
-
-        let sweep = gather_core::sweep::SweepSpec::new();
-        let mut slept = 0u32;
-        // The fake clock is shared between the sleeper (which advances
-        // it) and the elapsed reader via a cell.
-        let clock_cell = std::cell::Cell::new(Duration::ZERO);
-        let result = Client::run_sweep_with_retry_clocked(
-            &addr,
-            &config,
-            &sweep,
-            None,
-            &mut |d| {
-                slept += 1;
-                clock_cell.set(clock_cell.get() + d);
-            },
-            &mut || clock_cell.get(),
-        );
-        let clock = clock_cell.get();
-        assert_eq!(
-            slept, expected_sleeps,
-            "retries must stop exactly when the remaining budget cannot cover \
-             the next backoff sleep"
-        );
-        assert!(
-            clock <= deadline,
-            "the fake clock never passes the deadline"
-        );
-        match result {
-            Err(ClientError::Io(e)) => {
-                assert_eq!(e.kind(), io::ErrorKind::TimedOut);
-                let why = e.to_string();
-                assert!(why.contains("deadline"), "{why}");
-                assert!(why.contains("last error"), "{why}");
-            }
-            other => panic!("expected a deadline-context Io error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn without_a_deadline_the_attempt_cap_still_binds() {
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        let config = ClientConfig {
-            connect_attempts: 1,
-            submit_attempts: 4,
-            connect_timeout: Some(Duration::from_millis(250)),
-            deadline: None,
-            ..ClientConfig::default()
-        };
-        let sweep = gather_core::sweep::SweepSpec::new();
-        let mut slept = 0u32;
-        let result = Client::run_sweep_with_retry_clocked(
-            &addr,
-            &config,
-            &sweep,
-            None,
-            &mut |_| slept += 1,
-            &mut || Duration::ZERO,
-        );
-        assert!(result.is_err());
-        assert_eq!(slept, 3, "submit_attempts - 1 backoff sleeps");
     }
 }

@@ -19,10 +19,9 @@
 //! * [`client`] — [`client::Client`]: connect, submit, iterate streamed
 //!   rows, or collect them back into the exact
 //!   [`gather_core::sweep::SweepReport`] a local run would return. The
-//!   `gather-submit` binary wraps it for the command line;
-//! * [`pool`] — [`pool::ClientPool`]: one reusable connection slot per
-//!   daemon address plus a `Status`-round-trip liveness probe — the
-//!   fleet-facing layer the `gather-coord` coordinator builds on.
+//!   `gather-submit` binary wraps it for the command line, and the
+//!   `gather-coord` coordinator dials, probes and fails over whole fleets
+//!   through it.
 //!
 //! The whole stack leans on two earlier invariants: a
 //! [`gather_core::scenario::ScenarioSpec`] is a pure function of its fields
@@ -81,13 +80,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod pool;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError, RowStream};
-pub use pool::ClientPool;
 pub use protocol::{Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 pub use scheduler::{JobEvent, Scheduler};
 pub use server::{Server, ServerConfig};

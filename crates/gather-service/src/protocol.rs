@@ -349,7 +349,7 @@ fn repeated_key(value: &Value) -> Option<&str> {
 /// frame — the peer died (or a fault-injecting middlebox cut the
 /// connection) partway through a write — and surfaces as
 /// [`FrameError::Io`] with kind `UnexpectedEof`, **not** as a parse
-/// error: retry loops and coordinators must classify it as transport
+/// error: the client and the coordinator must classify it as transport
 /// loss (retryable elsewhere), and a truncated-but-coincidentally-valid
 /// JSON prefix must never be accepted as a frame.
 fn read_line_capped(r: &mut impl BufRead, cap: usize) -> Result<Option<String>, FrameError> {

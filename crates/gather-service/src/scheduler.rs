@@ -672,28 +672,62 @@ mod tests {
 
     #[test]
     fn cancellation_stops_claiming_and_reports_cancelled() {
-        // One worker and a 1-worker cap make the race deterministic enough:
-        // cancel immediately after submit; the job either never starts or
-        // stops early, but a Cancelled event always arrives.
+        // One worker and a 1-worker cap: cancel immediately after submit.
+        // The job either stops early (Cancelled) or, when its fast cells
+        // all finished first, had already completed (Done) — cancelling a
+        // finished job is a no-op that sends nothing.
         let scheduler = Scheduler::new(1, None, CachePolicy::Off, Arc::new(ArtifactCache::new()));
         let specs = demo_specs();
         let cells = specs.len();
         let (job, rx) = scheduler.submit(specs, Some(1));
         assert!(scheduler.cancel(job.id));
         assert!(!scheduler.cancel(9999), "unknown ids report false");
-        // `cancel` always emits exactly one Cancelled event (even when it
-        // raced a concurrent completion), so draining until we see it never
-        // hangs regardless of who won.
+        // Stop at the one terminal event: the job handle keeps the channel
+        // open, so draining past it would block forever.
         let mut rows = 0;
-        for event in rx {
-            match event {
+        let terminal = loop {
+            match rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the job ends in Cancelled or Done")
+            {
                 JobEvent::Row { .. } => rows += 1,
-                JobEvent::Cancelled => break,
-                JobEvent::Done { .. } => {}
+                terminal => break terminal,
+            }
+        };
+        let (_, _, flagged) = job.snapshot();
+        match terminal {
+            JobEvent::Cancelled => {
+                assert!(flagged);
+                assert!(rows <= cells);
+            }
+            JobEvent::Done { .. } => assert_eq!(rows, cells, "Done follows every Row"),
+            JobEvent::Row { .. } => unreachable!("rows are counted, not returned"),
+        }
+    }
+
+    #[test]
+    fn cancelling_a_finished_job_returns_true_and_sends_nothing() {
+        let scheduler = Scheduler::new(1, None, CachePolicy::Off, Arc::new(ArtifactCache::new()));
+        let specs = demo_specs();
+        let cells = specs.len();
+        let (job, rx) = scheduler.submit(specs, None);
+        let mut rows = 0;
+        loop {
+            match rx.recv().expect("the job runs to Done") {
+                JobEvent::Row { .. } => rows += 1,
+                JobEvent::Done { .. } => break,
+                JobEvent::Cancelled => panic!("nothing cancelled the job"),
             }
         }
-        assert!(rows <= cells);
-        let (_, _, flagged) = job.snapshot();
-        assert!(flagged);
+        assert_eq!(rows, cells);
+        // The worker collapses the job to a tombstone just after sending
+        // Done; joining it makes "finished" certain before cancelling.
+        scheduler.shutdown();
+        assert!(scheduler.cancel(job.id), "a finished job is known");
+        assert!(
+            matches!(rx.try_recv(), Err(mpsc::TryRecvError::Empty)),
+            "cancelling a finished job sends no event"
+        );
+        assert!(!job.snapshot().2, "a finished job is not flagged cancelled");
     }
 }

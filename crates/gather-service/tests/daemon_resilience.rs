@@ -115,9 +115,9 @@ fn daemon_death_mid_stream_is_a_structured_error_not_a_hang() {
     fake.join().expect("fake daemon thread joins");
 }
 
-/// The whole engagement, retried: run against daemon A, kill it, bring up
-/// daemon B over the *same* `DirStore`, and let the retrying client finish
-/// the job — every cell a cache hit, rows identical to the first run.
+/// The whole engagement, resubmitted: run against daemon A, kill it, bring
+/// up daemon B over the *same* `DirStore`, and submit the job again — every
+/// cell a cache hit, rows identical to the first run.
 #[test]
 fn retried_submit_against_a_restarted_daemon_completes_from_cache() {
     let dir = temp_cache_dir("retry");
@@ -135,8 +135,8 @@ fn retried_submit_against_a_restarted_daemon_completes_from_cache() {
     drop(client);
     stop_daemon(addr, handle);
 
-    // The restarted daemon binds a fresh ephemeral port; the retrying
-    // entry point reconnects and resubmits the identical sweep. Purity +
+    // The restarted daemon binds a fresh ephemeral port; a new connection
+    // resubmits the identical sweep there. Purity +
     // content addressing make the resubmission idempotent: daemon B serves
     // the exact rows daemon A computed, straight from the shared store.
     let (addr, handle) = spawn_daemon(ServerConfig {
@@ -149,8 +149,10 @@ fn retried_submit_against_a_restarted_daemon_completes_from_cache() {
         connect_timeout: Some(Duration::from_secs(2)),
         ..ClientConfig::default()
     };
-    let second = Client::run_sweep_with_retry(addr, &config, &sweep, None)
-        .expect("retried engagement completes");
+    let second = Client::connect_with_config(addr, &config)
+        .expect("connect to the restarted daemon")
+        .run_sweep(&sweep, None)
+        .expect("resubmitted engagement completes");
     assert_eq!(
         second.stats.cache_hits, second.stats.cells,
         "restart must not recompute anything: {:?}",

@@ -116,8 +116,7 @@ pub mod prelude {
     pub use gather_graph::{algo, dot, generators, GraphBuilder, PortGraph};
     pub use gather_obs::{MetricSample, MetricsSnapshot, Registry};
     pub use gather_service::{
-        Client, ClientError, ClientPool, Request, Response, RowStream, Server, ServerConfig,
-        PROTOCOL_VERSION,
+        Client, ClientError, Request, Response, RowStream, Server, ServerConfig, PROTOCOL_VERSION,
     };
     pub use gather_sim::{
         placement, Action, Inbox, Observation, Placement, PlacementKind, Robot, RobotId, SimConfig,

@@ -4,8 +4,8 @@
 //! Each experiment of `EXPERIMENTS.md` has a binary in `src/bin/` that prints
 //! a markdown table (the "table/figure" being regenerated) and writes the raw
 //! rows as JSON under `results/`. Round counts are exact and deterministic;
-//! Criterion benches under `benches/` additionally measure wall-clock time of
-//! the simulator and substrates.
+//! the `perf_report` binary additionally measures wall-clock time of the
+//! engine and the sweep executors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -135,8 +135,8 @@ pub fn results_dir() -> PathBuf {
     base.join("results")
 }
 
-/// The shared on-disk result cache of the experiment binaries: one JSON
-/// entry per scenario under `results/cache/` (see `gather_core::cache`).
+/// The shared on-disk result cache of the experiment binaries: append-only
+/// segment files under `results/cache/` (see `gather_core::cache`).
 /// Re-running an experiment whose cells are unchanged skips every
 /// simulation.
 pub fn cache_store() -> DirStore {

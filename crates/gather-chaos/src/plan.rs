@@ -27,7 +27,8 @@ use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// SplitMix64 finalizer: the workspace-standard way to derive independent
-/// pseudo-random values from a seed.
+/// pseudo-random values from a seed. A copy of `gather_sim::faults::mix`,
+/// kept because this crate does not depend on `gather-sim`.
 fn mix(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

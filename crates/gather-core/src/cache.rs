@@ -1447,6 +1447,37 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_with_the_old_trace_key_still_hits_and_rows_like_a_fresh_run() {
+        // `demo_spec()` as builds whose `SimOutcome` still had a `trace`
+        // field stored it (and its row): every cache on disk holds entries
+        // of this form.
+        const OLD_ENTRY: &str = r#"{"key":"v1e1-7e2bb39be24a30e02084f276b9d92a2a39b1310215427fa897f627d03d0c9c4a","spec":{"graph":{"family":"Cycle","n":8},"placement":{"kind":"UndispersedRandom","k":3,"labels":"Sequential"},"algorithm":{"name":"faster_gathering","config":{"uxs_policy":{"Polynomial":3},"map_bound":"Paper"}},"seed":7,"max_rounds":2000000000},"outcome":{"n":8,"k":3,"closest_pair":0,"outcome":{"rounds":10257,"gathered":true,"gather_node":2,"first_gather_round":25,"first_contact_round":0,"all_terminated":true,"termination_round":10256,"false_detection":false,"timed_out":false,"metrics":{"rounds":10257,"total_moves":165,"messages_delivered":20450,"moves_per_robot":{"1":126,"2":11,"3":28},"peak_memory_bits":{"1":1480,"2":1024,"3":1024}},"final_positions":{"1":2,"2":2,"3":2},"trace":null}}}"#;
+        const OLD_ROW: &str = r#"{"family":"cycle","n":8,"k":3,"kind":"UndispersedRandom","algorithm":"faster_gathering","seed":7,"closest_pair":0,"rounds":10257,"total_moves":165,"messages":20450,"peak_memory_bits":1480,"detected_ok":true,"error":null}"#;
+        let spec = demo_spec();
+        let key = spec_key(&spec);
+        let root = temp_root("trace-key");
+        fs::create_dir_all(&root).unwrap();
+        fs::write(
+            root.join("seg-0-0.log"),
+            encode_record(&key, OLD_ENTRY.as_bytes()).unwrap(),
+        )
+        .unwrap();
+        let (cached, hit) = spec
+            .run_cached(
+                crate::registry::global(),
+                &DirStore::new(&root),
+                CachePolicy::ReadOnly,
+            )
+            .unwrap();
+        assert!(hit, "the old entry must decode and be served");
+        let row =
+            |outcome| serde_json::to_string(&crate::sweep::SweepRow::ok(&spec, outcome)).unwrap();
+        assert_eq!(row(&cached), OLD_ROW);
+        assert_eq!(row(&spec.run_default().unwrap()), OLD_ROW);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn policy_predicates() {
         assert!(!CachePolicy::Off.reads() && !CachePolicy::Off.writes());
         assert!(CachePolicy::ReadWrite.reads() && CachePolicy::ReadWrite.writes());

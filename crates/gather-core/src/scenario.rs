@@ -30,6 +30,7 @@ use crate::config::GatherConfig;
 use crate::registry::{AlgorithmRegistry, RegistryError};
 use gather_graph::generators::Family;
 use gather_graph::{GraphError, PortGraph};
+use gather_sim::faults::mix;
 use gather_sim::placement::{self, Placement, PlacementKind};
 use gather_sim::{FaultError, FaultPlan, SimConfig, SimOutcome};
 use serde::{Deserialize, Serialize};
@@ -215,14 +216,6 @@ pub struct ScenarioSpec {
     /// [`spec_key`]s and cached results — unchanged.
     #[serde(default, skip_serializing_if = "FaultPlan::is_empty")]
     pub faults: FaultPlan,
-}
-
-/// SplitMix64 finalizer: decorrelates the derived sub-seeds.
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 impl ScenarioSpec {

@@ -27,6 +27,7 @@ use gather_sim::runner;
 use gather_sim::{Degradation, FaultPlan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -117,9 +118,10 @@ impl Sweep {
     /// row each.
     ///
     /// Scenario-level failures (infeasible placement, unknown algorithm,
-    /// graph construction error) become rows with an `error` instead of
-    /// aborting the whole sweep. Row order equals [`SweepSpec::specs`] order
-    /// regardless of `threads`.
+    /// graph construction error) and panicking cells become rows with an
+    /// `error` instead of aborting the whole sweep, exactly as they do on a
+    /// `gather-service` daemon (see [`SweepRow::compute`]). Row order equals
+    /// [`SweepSpec::specs`] order regardless of `threads`.
     pub fn run(&self, registry: &AlgorithmRegistry) -> SweepReport {
         let specs = self.grid.specs();
         let policy = self.cache_policy;
@@ -487,6 +489,11 @@ impl SweepRow {
     /// shared by the local [`Sweep::run`] pool and the `gather-service`
     /// workers, so a change to cache semantics can never make the two
     /// executors diverge.
+    ///
+    /// A cell that panics (deep inside graph construction or a registered
+    /// algorithm: absurd sizes, an invariant violation) becomes a
+    /// `cell panicked: …` error row, so one bad spec neither aborts a local
+    /// sweep nor kills a daemon worker. The panic hook still logs it.
     pub fn compute(
         spec: &ScenarioSpec,
         registry: &AlgorithmRegistry,
@@ -494,9 +501,23 @@ impl SweepRow {
         policy: CachePolicy,
         artifacts: Option<&ArtifactCache>,
     ) -> (SweepRow, bool) {
-        match spec.run_cached_with(registry, store, policy, artifacts) {
-            Ok((outcome, hit)) => (SweepRow::ok(spec, &outcome), hit),
-            Err(e) => (SweepRow::failed(spec, &e), false),
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            spec.run_cached_with(registry, store, policy, artifacts)
+        }));
+        match run {
+            Ok(Ok((outcome, hit))) => (SweepRow::ok(spec, &outcome), hit),
+            Ok(Err(e)) => (SweepRow::failed(spec, &e), false),
+            Err(payload) => {
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "unknown panic".to_string());
+                (
+                    SweepRow::failed(spec, format_args!("cell panicked: {why}")),
+                    false,
+                )
+            }
         }
     }
 
@@ -774,6 +795,60 @@ mod tests {
         assert!(report.rows[0].detected_ok, "{:?}", report.rows[0]);
         let err = report.rows[1].error.as_deref().unwrap();
         assert!(err.contains("diameter"), "{err}");
+    }
+
+    /// A registered algorithm that panics in every run.
+    struct Boom;
+
+    impl crate::registry::AlgorithmFactory for Boom {
+        fn name(&self) -> &'static str {
+            "boom"
+        }
+
+        fn run(
+            &self,
+            _graph: &gather_graph::PortGraph,
+            _placement: &gather_sim::Placement,
+            _config: &crate::config::GatherConfig,
+            _sim_config: gather_sim::SimConfig,
+        ) -> gather_sim::SimOutcome {
+            panic!("boom")
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_becomes_an_error_row_at_any_thread_count() {
+        let mut registry = crate::registry::AlgorithmRegistry::with_builtins();
+        registry.register(Arc::new(Boom));
+        let grid = |names: &[&str]| {
+            SweepSpec::new()
+                .graph(GraphSpec::new(Family::Cycle, 8))
+                .placement(PlacementSpec::new(PlacementKind::UndispersedRandom, 3))
+                .algorithms(names.iter().map(|&name| AlgorithmSpec::new(name)))
+        };
+        let clean = grid(&["faster_gathering", "undispersed_gathering"])
+            .into_sweep()
+            .threads(1)
+            .run(&registry);
+        assert!(clean.all_detected_ok(), "{:?}", clean.rows);
+        for threads in [1, 4] {
+            let report = grid(&["faster_gathering", "boom", "undispersed_gathering"])
+                .into_sweep()
+                .threads(threads)
+                .run(&registry);
+            assert_eq!(report.rows.len(), 3);
+            let boom = &report.rows[1];
+            assert_eq!(boom.algorithm, "boom");
+            assert_eq!(boom.error.as_deref(), Some("cell panicked: boom"));
+            assert_eq!(report.stats.errors, 1, "{threads} threads");
+            for (clean, row) in clean.rows.iter().zip([&report.rows[0], &report.rows[2]]) {
+                assert_eq!(
+                    serde_json::to_string(row).unwrap(),
+                    serde_json::to_string(clean).unwrap(),
+                    "{threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::protocol::{
 };
 use gather_core::sweep::{CellRange, SweepReport, SweepRow, SweepSpec, SweepStats};
 use gather_obs::{trace, Counter, MetricsSnapshot, Registry};
+use gather_sim::faults::mix;
 use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -25,15 +26,6 @@ use std::time::Duration;
 fn connect_retries() -> &'static Counter {
     static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| Registry::global().counter("client_connect_retries_total"))
-}
-
-/// SplitMix64 finalizer: the workspace-standard way to derive independent
-/// pseudo-random values from a seed (here: deterministic backoff jitter).
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Robustness knobs for [`Client::connect_with_config`] and for the

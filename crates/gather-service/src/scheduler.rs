@@ -483,7 +483,13 @@ fn worker_loop(core: &SchedCore, busy: &Counter) {
         let obs = sched_obs();
         obs.in_flight.inc();
         let cell_start = Instant::now();
-        let (row, hit) = run_cell(core, &job.specs[idx]);
+        let (row, hit) = SweepRow::compute(
+            &job.specs[idx],
+            registry::global(),
+            core.store.as_deref(),
+            core.policy,
+            Some(&core.artifacts),
+        );
         let cell_elapsed = cell_start.elapsed();
         obs.in_flight.dec();
         obs.cell_micros.record_duration(cell_elapsed);
@@ -529,41 +535,6 @@ fn worker_loop(core: &SchedCore, busy: &Counter) {
         // A slot freed up (this worker finished a cell): a job that was
         // saturated at max_workers may be claimable again.
         core.work_ready.notify_one();
-    }
-}
-
-/// Executes one cell against the shared store via the same
-/// [`SweepRow::compute`] path the local `Sweep::run` pool uses. Pure in the
-/// spec: the row is identical whether it was simulated here, on another
-/// worker, or served from cache.
-fn run_cell(core: &SchedCore, spec: &ScenarioSpec) -> (SweepRow, bool) {
-    // Unwind containment: specs arrive over the wire, and a spec that
-    // panics deep inside graph construction or a registered algorithm
-    // (absurd sizes, an invariant violation) must become an error *row* —
-    // not a dead worker thread and a job that never finishes. The default
-    // panic hook still logs the panic to stderr.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        SweepRow::compute(
-            spec,
-            registry::global(),
-            core.store.as_deref(),
-            core.policy,
-            Some(&core.artifacts),
-        )
-    }));
-    match outcome {
-        Ok(cell) => cell,
-        Err(payload) => {
-            let why = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            (
-                SweepRow::failed(spec, format_args!("cell panicked: {why}")),
-                false,
-            )
-        }
     }
 }
 

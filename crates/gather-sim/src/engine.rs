@@ -22,8 +22,7 @@ use crate::config::SimConfig;
 use crate::faults::{ByzantineStrategy, EngineFaults};
 use crate::metrics::{Degradation, Metrics, MetricsRecorder};
 use crate::robot::{Action, Inbox, Observation, Robot, RobotId};
-use crate::scheduler::{alive_mask, Activation, Scheduler};
-use crate::trace::Trace;
+use crate::scheduler::Activation;
 use gather_graph::{NodeId, PortGraph, PortId};
 use gather_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
@@ -65,8 +64,6 @@ pub struct SimOutcome {
     pub metrics: Metrics,
     /// Final node of every robot.
     pub final_positions: BTreeMap<RobotId, NodeId>,
-    /// Optional per-round trace (only if requested in [`SimConfig`]).
-    pub trace: Option<Trace>,
 }
 
 impl SimOutcome {
@@ -670,9 +667,8 @@ impl<'g> Simulator<'g> {
     /// This is a driver over the same step code as the pure [`transition`]
     /// function: one persistent [`SimState`] advanced in place through one
     /// persistent [`StepBuffers`], which keeps the round loop allocation-free
-    /// in steady state. The scheduler in [`SimConfig`] picks each round's
-    /// activation via [`Scheduler::canonical_activation`] (for the default
-    /// [`Scheduler::FullySync`] that is always [`Activation::All`]).
+    /// in steady state. Every round activates every robot
+    /// ([`Activation::All`]), the paper's synchronous model.
     ///
     /// **Idle-round jumps.** After a stepped round in which no robot moved
     /// or terminated, `run` asks every live robot for its promise
@@ -683,9 +679,8 @@ impl<'g> Simulator<'g> {
     /// round's message deliveries and wasted activations once per round,
     /// plus one memory sample if a sampling round falls inside. The
     /// outcome is identical to stepping those rounds. A robot that makes
-    /// no promise is stepped every round, and nothing jumps while a trace
-    /// is recorded, under a scheduler other than `FullySync`, or under a
-    /// plan with Byzantine robots.
+    /// no promise is stepped every round, and nothing jumps under a plan
+    /// with Byzantine robots.
     pub fn run<R: Robot>(&self, robots: Vec<(R, NodeId)>) -> SimOutcome {
         let obs = engine_obs();
         let detail = gather_obs::detail_enabled();
@@ -710,11 +705,6 @@ impl<'g> Simulator<'g> {
         };
 
         let mut metrics = MetricsRecorder::new(k);
-        let mut trace = if self.config.record_trace {
-            Some(Trace::new(ids.clone()))
-        } else {
-            None
-        };
         let mut bufs: StepBuffers<R> = StepBuffers::new(self.graph.n(), &state);
 
         let mut first_gather_round: Option<u64> = None;
@@ -724,13 +714,10 @@ impl<'g> Simulator<'g> {
         let mut false_detection = false;
         let mut timed_out = false;
         let mut rounds_stepped = 0u64;
-        // Jumps repeat a quiet round's effects arithmetically. A trace wants
-        // every round's row, a relaxed scheduler activates a different set
-        // each round, and Byzantine rewriting depends on the round, so each
-        // of those is stepped round by round.
-        let may_jump = trace.is_none()
-            && self.config.scheduler == Scheduler::FullySync
-            && faults.as_ref().is_none_or(|f| f.byzantine_count() == 0);
+        // Jumps repeat a quiet round's effects arithmetically. Byzantine
+        // rewriting depends on the round, so such a run is stepped round by
+        // round.
+        let may_jump = faults.as_ref().is_none_or(|f| f.byzantine_count() == 0);
 
         loop {
             let observe_start = detail.then(Instant::now);
@@ -760,13 +747,7 @@ impl<'g> Simulator<'g> {
             } else {
                 false
             };
-            if let Some(t) = trace.as_mut() {
-                t.push(state.positions.clone());
-            }
             if state.survivors_terminated(faults.as_ref()) {
-                break;
-            }
-            if self.config.stop_at_first_gathering && gathered_now {
                 break;
             }
             if self.config.stop_at_first_contact && contact_now {
@@ -777,12 +758,6 @@ impl<'g> Simulator<'g> {
                 break;
             }
 
-            let activation = match self.config.scheduler {
-                // Skip the (k <= 64)-limited mask for the default scheduler:
-                // fully synchronous runs support any k.
-                Scheduler::FullySync => Activation::All,
-                s => s.canonical_activation(alive_mask(&state.terminated), state.round),
-            };
             let this_round = state.round;
             let (messages_before, wasted_before) =
                 (metrics.messages_delivered, metrics.wasted_activations);
@@ -790,7 +765,7 @@ impl<'g> Simulator<'g> {
             let effects = bufs.finish_round(
                 self.graph,
                 &mut state,
-                activation,
+                Activation::All,
                 faults.as_ref(),
                 Some(&mut metrics),
             );
@@ -909,7 +884,6 @@ impl<'g> Simulator<'g> {
             timed_out,
             metrics: metrics_out,
             final_positions,
-            trace,
         }
     }
 }
@@ -1059,21 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_at_first_gathering_halts_early() {
-        let g = generators::path(3).unwrap();
-        // Walkers starting on both ends of a path meet in the middle... they
-        // would actually swap forever on a 2-path, so use co-located start.
-        let sim = Simulator::new(&g, SimConfig::with_max_rounds(50).until_first_gathering());
-        let out = sim.run(vec![
-            (PortZeroWalker { id: 1 }, 2),
-            (PortZeroWalker { id: 2 }, 2),
-        ]);
-        assert_eq!(out.rounds, 0);
-        assert!(out.gathered);
-        assert!(!out.all_terminated);
-    }
-
-    #[test]
     fn messages_are_delivered_only_to_co_located_robots() {
         let g = generators::path(4).unwrap();
         let sim = Simulator::new(&g, SimConfig::with_max_rounds(3));
@@ -1187,16 +1146,6 @@ mod tests {
         let g = generators::path(3).unwrap();
         let sim = Simulator::new(&g, SimConfig::default());
         let _ = sim.run(vec![(PortZeroWalker { id: 1 }, 9)]);
-    }
-
-    #[test]
-    fn trace_is_recorded_when_requested() {
-        let g = generators::cycle(4).unwrap();
-        let sim = Simulator::new(&g, SimConfig::with_max_rounds(5).traced());
-        let out = sim.run(vec![(PortZeroWalker { id: 3 }, 0)]);
-        let trace = out.trace.expect("trace requested");
-        assert_eq!(trace.robots, vec![3]);
-        assert!(trace.len() >= 5);
     }
 
     /// Terminates immediately; used to check how the engine treats parked,
@@ -1843,19 +1792,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_step_every_round_and_record_one_row_each() {
-        let g = generators::cycle(5).unwrap();
-        let (out, decides) = jump_vs_step(
-            &g,
-            SimConfig::with_max_rounds(200).traced(),
-            vec![(Napper::new(1, &[], true), 0)],
-        );
-        assert_eq!(out.rounds, 200);
-        assert_eq!(out.trace.expect("trace requested").len(), 201);
-        assert_eq!(decides, 200);
-    }
-
-    #[test]
     fn a_crash_inside_the_window_caps_the_jump() {
         use crate::faults::FaultPlan;
         let g = generators::path(3).unwrap();
@@ -1879,26 +1815,21 @@ mod tests {
 
     #[test]
     fn byzantine_plans_and_relaxed_schedulers_never_jump() {
+        // `run` always activates every robot, so only the Byzantine half of
+        // this rule is left to check.
         use crate::faults::{ByzantineStrategy, FaultPlan};
         let g = generators::path(3).unwrap();
-        let pair = || {
+        let byzantine = SimConfig::with_max_rounds(100)
+            .with_faults(FaultPlan::new(3).byzantine(2, ByzantineStrategy::Silent));
+        let (_, decides) = jump_vs_step(
+            &g,
+            byzantine,
             vec![
                 (Napper::new(1, &[], true), 1),
                 (Napper::new(2, &[], true), 1),
-            ]
-        };
-        let byzantine = SimConfig::with_max_rounds(100)
-            .with_faults(FaultPlan::new(3).byzantine(2, ByzantineStrategy::Silent));
-        let (_, decides) = jump_vs_step(&g, byzantine, pair());
+            ],
+        );
         assert_eq!(decides, 2 * 100);
-        for scheduler in [Scheduler::SemiSync, Scheduler::Sequential] {
-            let cfg = SimConfig::with_max_rounds(100).with_scheduler(scheduler);
-            let (_, decides) = jump_vs_step(&g, cfg, pair());
-            let activations: u64 = (0..100)
-                .map(|r| scheduler.canonical_activation(0b11, r).active_count(2) as u64)
-                .sum();
-            assert_eq!(decides, activations, "{scheduler:?}");
-        }
     }
 
     #[test]

@@ -35,10 +35,11 @@ use crate::robot::{Observation, RobotId};
 use gather_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// SplitMix64 finalizer used to derive per-(robot, round) adversarial
-/// randomness from the plan seed. (A local copy: `gather-core` derives its
-/// scenario sub-seeds the same way, but the dependency points the other way.)
-fn mix(seed: u64, stream: u64) -> u64 {
+/// SplitMix64 finalizer: the workspace's one way to derive independent
+/// pseudo-random values from a seed. Fault plans draw per-(robot, round)
+/// adversarial choices from it, `gather-core` its scenario sub-seeds and
+/// `gather-service` its backoff jitter.
+pub fn mix(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);

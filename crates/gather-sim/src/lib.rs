@@ -20,15 +20,15 @@
 //!   validation of detection correctness, factored around the pure
 //!   [`engine::transition`] step function over [`engine::SimState`];
 //! * [`scheduler`] — activation schedulers ([`scheduler::Scheduler`]):
-//!   the paper's fully synchronous rounds plus relaxed (semi-synchronous
-//!   and sequential) adversaries for model checking;
+//!   the paper's fully synchronous rounds, which [`engine::Simulator::run`]
+//!   always uses, plus relaxed (semi-synchronous and sequential)
+//!   adversaries for the model checker;
 //! * [`faults`] — crash/Byzantine fault plans ([`faults::FaultPlan`])
 //!   injected into the round step, with survivor-scoped degradation
 //!   accounting;
 //! * [`metrics`] — rounds, moves, messages and memory accounting;
 //! * [`placement`] — initial placement generators (dispersed, undispersed,
 //!   adversarial spread, exact-distance pairs, …) and label assignment;
-//! * [`trace`] — optional per-round position traces for debugging/examples;
 //! * [`runner`] — a `std::thread::scope`-based parallel sweep runner for
 //!   experiments.
 
@@ -43,7 +43,6 @@ pub mod placement;
 pub mod robot;
 pub mod runner;
 pub mod scheduler;
-pub mod trace;
 
 pub use config::SimConfig;
 pub use engine::{transition, SimOutcome, SimState, Simulator, StepBuffers};
@@ -52,4 +51,3 @@ pub use metrics::{Degradation, Metrics};
 pub use placement::{Placement, PlacementKind};
 pub use robot::{Action, Inbox, InboxIter, Observation, Robot, RobotId};
 pub use scheduler::{alive_mask, Activation, Scheduler};
-pub use trace::Trace;

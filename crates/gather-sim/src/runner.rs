@@ -15,8 +15,10 @@ use std::sync::Mutex;
 /// Runs `jobs` on up to `threads` worker threads and returns their results in
 /// the original job order.
 ///
-/// Each job is an independent closure; panics inside a job propagate and
-/// abort the sweep (the experiments treat any panic as a hard failure).
+/// Each job is an independent closure; a panic inside a job propagates and
+/// aborts the whole run. Sweep cells never reach that: their jobs go
+/// through `gather_core::sweep::SweepRow::compute`, which turns a panic into
+/// an error row.
 pub fn run_parallel<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,

@@ -1,18 +1,15 @@
 //! Activation schedulers.
 //!
 //! The paper's model is fully synchronous: every robot is activated in every
-//! round. This module generalizes that single hard-coded choice into a
+//! round, and [`crate::engine::Simulator::run`] always steps with
+//! [`Activation::All`]. This module generalizes that single choice into a
 //! [`Scheduler`] *strategy* that enumerates which activation sets are legal
 //! in a round, plus a compact [`Activation`] value naming one such set.
 //!
-//! Two consumers exist with different needs:
-//!
-//! * [`crate::engine::Simulator::run`] needs **one** activation per round.
-//!   Nondeterministic schedulers are resolved with a fixed canonical rule
-//!   ([`Scheduler::canonical_activation`]) so a run stays reproducible.
-//! * The exhaustive model checker (`gather-check`) needs **all** legal
-//!   activations per round ([`Scheduler::legal_activations`]) to explore
-//!   every interleaving.
+//! Its one consumer is the exhaustive model checker (`gather-check`), which
+//! takes **all** legal activations per round
+//! ([`Scheduler::legal_activations`]) and feeds each to the pure
+//! [`crate::engine::transition`] to explore every interleaving.
 //!
 //! Robots that are activated observe, exchange messages and act; robots that
 //! are not activated behave exactly like terminated robots for that round:
@@ -109,32 +106,6 @@ impl Scheduler {
             }
         }
     }
-
-    /// The single activation [`crate::engine::Simulator::run`] uses for the
-    /// round, resolving scheduler nondeterminism with a fixed rule so plain
-    /// simulation stays deterministic and reproducible:
-    ///
-    /// * `FullySync` / `SemiSync`: all alive robots (a legal SemiSync pick);
-    /// * `Sequential`: round-robin over alive robots in index order.
-    ///
-    /// Exploring the *other* legal choices is the model checker's job.
-    pub fn canonical_activation(&self, alive: u64, round: u64) -> Activation {
-        match self {
-            Scheduler::FullySync | Scheduler::SemiSync => Activation::All,
-            Scheduler::Sequential => {
-                let a = alive.count_ones() as u64;
-                if a == 0 {
-                    return Activation::Subset(0);
-                }
-                let pick = (round % a) as u32;
-                let mut rest = alive;
-                for _ in 0..pick {
-                    rest &= rest - 1; // drop lowest set bit
-                }
-                Activation::Subset(rest & rest.wrapping_neg())
-            }
-        }
-    }
 }
 
 /// The alive-robot bitmask over `terminated` flags (`k <= 64`).
@@ -210,15 +181,6 @@ mod tests {
         assert!(acts.contains(&Activation::Subset(0b001)));
         // 3 alive robots -> 7 subsets.
         assert_eq!(Scheduler::SemiSync.legal_activations(0b111).len(), 7);
-    }
-
-    #[test]
-    fn canonical_sequential_is_round_robin_over_alive() {
-        let s = Scheduler::Sequential;
-        // alive = {0, 2}: rounds alternate between the two.
-        assert_eq!(s.canonical_activation(0b101, 0), Activation::Subset(0b001));
-        assert_eq!(s.canonical_activation(0b101, 1), Activation::Subset(0b100));
-        assert_eq!(s.canonical_activation(0b101, 2), Activation::Subset(0b001));
     }
 
     #[test]

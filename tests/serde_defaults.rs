@@ -11,14 +11,13 @@ use gather_core::scenario::{AlgorithmSpec, GraphSpec, PlacementSpec, ScenarioSpe
 use gather_core::sweep::{SweepRow, SweepSpec};
 use gather_graph::generators::Family;
 use gather_sim::placement::PlacementKind;
-use gather_sim::{ByzantineStrategy, Degradation, FaultPlan, Metrics, Scheduler, SimConfig};
+use gather_sim::{ByzantineStrategy, Degradation, FaultPlan, Metrics, Scheduler};
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 const INSTANCE: &str = r#""graph":{"family":"Cycle","n":6},"placement":{"kind":"MaxSpread","k":3,"labels":"Sequential"},"algorithm":{"name":"faster_gathering","config":{"uxs_policy":{"Polynomial":3},"map_bound":"Paper"}}"#;
 const GRID: &str = r#""graphs":[{"family":"Cycle","n":6}],"placements":[{"kind":"MaxSpread","k":3,"labels":"Sequential"}],"algorithms":[{"name":"faster_gathering","config":{"uxs_policy":{"Polynomial":3},"map_bound":"Paper"}}],"seeds":[1,2],"max_rounds":2000000000"#;
 const PLAN: &str = r#"{"seed":5,"faults":[{"Crash":{"robot":2,"round":40}},{"Byzantine":{"robot":3,"strategy":"Impersonate"}}]}"#;
-const SIM: &str = r#""max_rounds":10,"record_trace":false,"stop_when_all_terminated":true,"stop_at_first_gathering":false,"stop_at_first_contact":false"#;
 const ROW: &str = r#""family":"cycle","n":6,"k":3,"kind":"MaxSpread","algorithm":"faster_gathering","seed":3,"closest_pair":null,"rounds":5,"total_moves":4,"messages":3,"peak_memory_bits":64,"detected_ok":false,"error":null"#;
 const METRICS: &str = r#""rounds":5,"total_moves":0,"messages_delivered":0,"moves_per_robot":{},"peak_memory_bits":{}"#;
 const DEGRADATION: &str = r#""degradation":{"crash_faulted":1,"byzantine":1,"rounds_to_gather_survivors":9,"survivors_terminated":true,"false_detections":0,"wasted_activations":2}"#;
@@ -86,15 +85,6 @@ fn absent_fields_parse_to_defaults_and_reserialize_to_pinned_bytes() {
     let (g, p, a) = instance();
 
     // Defaulted keys that are always written back.
-    case(
-        &format!("{{{SIM}}}"),
-        SimConfig::with_max_rounds(10),
-        &format!(r#"{{{SIM},"scheduler":"FullySync","faults":{{"seed":0,"faults":[]}}}}"#),
-        SimConfig::with_max_rounds(10)
-            .with_scheduler(Scheduler::Sequential)
-            .with_faults(plan()),
-        &format!(r#"{{{SIM},"scheduler":"Sequential","faults":{PLAN}}}"#),
-    );
     let check = || CheckSpec::new(g, p, a.clone());
     case(
         &format!(r#"{{{INSTANCE},"seed":0,"round_bound":null,"max_states":null,"expect":null}}"#),

@@ -145,7 +145,6 @@ fn main() {
         deadline: deadline.map(|secs| Duration::from_secs(secs.max(1))),
         chunk_timeout: chunk_timeout.map(|secs| Duration::from_secs(secs.max(1))),
         hedge: hedge.map(Duration::from_millis),
-        ..CoordConfig::default()
     };
 
     if let Some(addr) = &metrics_addr {

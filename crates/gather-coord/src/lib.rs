@@ -116,8 +116,13 @@ fn daemon_rows_counter(addr: &str) -> Arc<Counter> {
     Registry::global().counter(&format!("coord_rows_total{{daemon=\"{addr}\"}}"))
 }
 
+/// Bound of the row merge queue, in rows. When the merger falls behind,
+/// workers block on the full queue — backpressure — instead of buffering
+/// the fleet's output unboundedly.
+const MERGE_QUEUE_ROWS: usize = 256;
+
 /// Everything [`run_sweep`] needs to drive a fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CoordConfig {
     /// Daemon addresses (`host:port`), one fleet slot each.
     pub addrs: Vec<String>,
@@ -134,10 +139,6 @@ pub struct CoordConfig {
     /// `Accepted`) per chunk: both ends of every connection set
     /// `TCP_NODELAY`, so no frame waits on a delayed ACK.
     pub chunk: Option<usize>,
-    /// Bound of the row merge queue, in rows. When the merger falls
-    /// behind, workers block on the full queue — backpressure — instead
-    /// of buffering the fleet's output unboundedly.
-    pub queue: usize,
     /// Emit a progress line on stderr about this often (`None`: stay
     /// silent). Each line reports merged cells vs the grid total, the
     /// merge-queue depth, cumulative re-dispatch/steal counts and
@@ -165,22 +166,6 @@ pub struct CoordConfig {
     /// the merger (first writer wins); a mismatching duplicate is still a
     /// [`CoordError::Merge`] abort.
     pub hedge: Option<Duration>,
-}
-
-impl Default for CoordConfig {
-    fn default() -> Self {
-        CoordConfig {
-            addrs: Vec::new(),
-            client: ClientConfig::default(),
-            workers: None,
-            chunk: None,
-            queue: 256,
-            progress: None,
-            deadline: None,
-            chunk_timeout: None,
-            hedge: None,
-        }
-    }
 }
 
 /// Why a coordinated sweep failed.
@@ -222,13 +207,7 @@ impl fmt::Display for CoordError {
                     f,
                     "sweep incomplete: {missing} cells lost after all daemons failed ("
                 )?;
-                for (i, d) in daemons.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{}: {}", d.addr, d.last_error.as_deref().unwrap_or("ok"))?;
-                }
-                write!(f, ")")
+                write_last_errors(f, daemons)
             }
             CoordError::Merge(why) => write!(f, "merge contract violated: {why}"),
             CoordError::DeadlineExceeded {
@@ -240,16 +219,21 @@ impl fmt::Display for CoordError {
                     f,
                     "sweep deadline of {budget:?} exceeded with {missing} cells still missing ("
                 )?;
-                for (i, d) in daemons.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{}: {}", d.addr, d.last_error.as_deref().unwrap_or("ok"))?;
-                }
-                write!(f, ")")
+                write_last_errors(f, daemons)
             }
         }
     }
+}
+
+/// Each daemon's `addr: last_error`, `; `-separated, then the closing `)`.
+fn write_last_errors(f: &mut fmt::Formatter<'_>, daemons: &[DaemonReport]) -> fmt::Result {
+    for (i, d) in daemons.iter().enumerate() {
+        if i > 0 {
+            write!(f, "; ")?;
+        }
+        write!(f, "{}: {}", d.addr, d.last_error.as_deref().unwrap_or("ok"))?;
+    }
+    write!(f, ")")
 }
 
 impl std::error::Error for CoordError {}
@@ -343,7 +327,7 @@ pub fn run_sweep(spec: &SweepSpec, config: &CoordConfig) -> Result<CoordOutcome,
         .unwrap_or_else(|| Plan::default_chunk(total, live.len()))
         .max(1);
     let plan = Mutex::new(Plan::new(total, live.len(), chunk));
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(config.queue.max(1));
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(MERGE_QUEUE_ROWS);
     let run_deadline = config.deadline.map(|budget| started + budget);
 
     let mut daemons: Vec<Option<DaemonReport>> = (0..live.len()).map(|_| None).collect();
@@ -515,6 +499,11 @@ fn merge(
     deadline_hit: &mut bool,
 ) {
     let obs = coord_obs();
+    let mut expire = || {
+        *deadline_hit = true;
+        obs.deadline_aborts.inc();
+        trace::event("coord_deadline", format_args!("budget expired mid-merge"));
+    };
     loop {
         let event = match deadline {
             None => match rx.recv() {
@@ -523,20 +512,12 @@ fn merge(
             },
             Some(deadline) => {
                 let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    *deadline_hit = true;
-                    obs.deadline_aborts.inc();
-                    trace::event("coord_deadline", format_args!("budget expired mid-merge"));
-                    return;
+                    return expire();
                 };
                 match rx.recv_timeout(remaining) {
                     Ok(event) => event,
                     Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        *deadline_hit = true;
-                        obs.deadline_aborts.inc();
-                        trace::event("coord_deadline", format_args!("budget expired mid-merge"));
-                        return;
-                    }
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => return expire(),
                 }
             }
         };

@@ -2,26 +2,8 @@
 //! with `⌊n/c⌋ + 1` robots on an `n`-node connected graph, some pair of
 //! robots is at hop distance at most `2c − 2`.
 
-use gather_graph::{algo, NodeId, PortGraph};
-
-/// The minimum pairwise hop distance among the given robot positions
-/// (`None` for fewer than two robots). Positions may repeat (distance 0).
-pub fn closest_pair_distance(graph: &PortGraph, positions: &[NodeId]) -> Option<usize> {
-    if positions.len() < 2 {
-        return None;
-    }
-    let mut best = usize::MAX;
-    for (i, &u) in positions.iter().enumerate() {
-        let dist = algo::bfs_distances(graph, u);
-        for &v in positions.iter().skip(i + 1) {
-            best = best.min(dist[v]);
-            if best == 0 {
-                return Some(0);
-            }
-        }
-    }
-    Some(best)
-}
+use gather_graph::{NodeId, PortGraph};
+pub use gather_sim::placement::closest_pair_distance;
 
 /// The distance bound guaranteed by Lemma 15 for `k` robots on `n` nodes:
 /// the smallest `2c − 2` over all constants `c ≥ 1` with `k ≥ ⌊n/c⌋ + 1`.

@@ -52,8 +52,8 @@
 //!   JSON, to a `seg-<pid>-<n>.log` of its own, and indexes every segment
 //!   in the directory in memory, so processes sharing a root serve each
 //!   other's results. A record cut short by a crash reads as a miss; a
-//!   damaged one is skipped and recomputed. `<key>.json` files written by
-//!   older builds (one file per entry, compact or pretty) still read.
+//!   damaged one is skipped and recomputed. Any other file under the root
+//!   is ignored.
 //!
 //! Lookups verify that the stored spec equals the requested spec before a
 //! hit is served, so even a hash collision (or a manually edited file)
@@ -71,7 +71,7 @@
 use crate::scenario::{ScenarioOutcome, ScenarioSpec};
 use gather_obs::{Counter, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -402,8 +402,7 @@ const FINE_MTIME_MARGIN: Duration = Duration::from_millis(100);
 const COARSE_MTIME_MARGIN: Duration = Duration::from_millis(2500);
 
 /// On-disk [`ResultStore`] under a root directory (the repo convention is
-/// `results/cache/`): append-only segment files, plus `<key>.json` files
-/// written by older builds, which still read.
+/// `results/cache/`): append-only segment files.
 ///
 /// Each instance appends the records it writes to a segment of its own,
 /// `seg-<pid>-<n>.log`, created on the first [`ResultStore::put`]. A record
@@ -419,10 +418,9 @@ const COARSE_MTIME_MARGIN: Duration = Duration::from_millis(2500);
 /// re-verified, key included. (Two keys whose hashes collide cost one of
 /// them its hits, never a wrong result.) On an index miss the instance
 /// first catches up with the directory: it scans the tails of segments
-/// that grew, lists the root for new segments (skipped while the root's
-/// mtime is unchanged and old enough to trust), and only then consults a
-/// legacy `<key>.json` the listing saw. So processes sharing a root see
-/// each other's results.
+/// that grew, then lists the root for new segments (skipped while the
+/// root's mtime is unchanged and old enough to trust). So processes sharing
+/// a root see each other's results.
 ///
 /// A tail shorter than its length prefix is a record still being written
 /// (or cut short by a crash): it reads as a miss and is re-examined on the
@@ -447,9 +445,6 @@ struct State {
     /// is rebuilt on every reset, and per-key allocations would fragment
     /// the heap.
     index: HashMap<u64, Loc>,
-    /// The [`key_hash`]es of the legacy `<key>.json` files the last listing
-    /// saw.
-    legacy: HashSet<u64>,
     /// The root's mtime at the last listing, if old enough to trust: while
     /// the root still shows it, no entry was added since that listing.
     listed: Option<SystemTime>,
@@ -479,12 +474,6 @@ struct Loc {
     len: u64,
 }
 
-/// Where a lookup found its key.
-enum Place {
-    Record(Arc<Segment>, Loc),
-    Legacy,
-}
-
 impl DirStore {
     /// A store rooted at `root` (created lazily on first write).
     pub fn new(root: impl Into<PathBuf>) -> Self {
@@ -503,17 +492,11 @@ impl DirStore {
         self.state.lock().expect("DirStore lock")
     }
 
-    /// Number of distinct well-formed keys on disk, across segments and
-    /// legacy `<key>.json` files.
+    /// Number of distinct keys with a verified record on disk.
     pub fn len(&self) -> usize {
         let mut state = self.lock();
         state.catch_up(&self.root, true);
-        let legacy_only = state
-            .legacy
-            .iter()
-            .filter(|hash| !state.index.contains_key(*hash))
-            .count();
-        state.index.len() + legacy_only
+        state.index.len()
     }
 
     /// True if no entries are stored.
@@ -521,41 +504,19 @@ impl DirStore {
         self.len() == 0
     }
 
-    fn locate(&self, key: &str) -> Option<Place> {
+    /// The record indexed under `key`'s hash, catching up with the root
+    /// first if this instance has none (or its segment is gone).
+    fn locate(&self, key: &str) -> Option<(Arc<Segment>, Loc)> {
         let hash = key_hash(key.as_bytes());
         let mut state = self.lock();
         if let Some((seg, loc)) = state.record(hash) {
             if seg.linked_len().is_some() {
-                return Some(Place::Record(seg, loc));
+                return Some((seg, loc));
             }
             state.reset();
         }
         state.catch_up(&self.root, false);
-        match state.record(hash) {
-            Some((seg, loc)) => Some(Place::Record(seg, loc)),
-            None => state.legacy.contains(&hash).then_some(Place::Legacy),
-        }
-    }
-
-    /// Reads and verifies the legacy `<key>.json` file. `Err` if it is
-    /// present but unusable.
-    fn read_legacy(&self, key: &str) -> Result<Option<CacheEntry>, ()> {
-        let Ok(raw) = fs::read_to_string(self.root.join(format!("{key}.json"))) else {
-            return Ok(None);
-        };
-        // A file renamed by hand (or a partially synced directory) must not
-        // serve a result for the wrong spec.
-        match serde_json::from_str::<CacheEntry>(&raw) {
-            Ok(entry) if entry.key == key => Ok(Some(entry)),
-            _ => Err(()),
-        }
-    }
-}
-
-impl Clone for DirStore {
-    /// Another instance on the same root, with a segment of its own.
-    fn clone(&self) -> Self {
-        DirStore::new(self.root.clone())
+        state.record(hash)
     }
 }
 
@@ -578,14 +539,12 @@ impl State {
     fn reset(&mut self) {
         self.segments.clear();
         self.index.clear();
-        self.legacy.clear();
         self.listed = None;
         self.writer = None;
     }
 
     /// Brings the index up to date with the root: scans what known segments
-    /// appended, then lists the root for new segments and legacy files
-    /// unless its mtime proves nothing was added since the last listing
+    /// appended, then lists the root for new segments unless its mtime proves nothing was added since the last listing
     /// (`force` lists regardless). Segments only ever grow: if a known one
     /// shrank or is gone, or the root is, forget everything.
     fn catch_up(&mut self, root: &Path, force: bool) {
@@ -612,21 +571,19 @@ impl State {
             self.reset();
             return;
         };
-        self.legacy.clear();
         for name in dir.filter_map(|e| e.ok()).map(|e| e.file_name()) {
             let Some(name) = name.to_str() else { continue };
-            if let Some(key) = name.strip_suffix(".json").filter(|key| !key.is_empty()) {
-                self.legacy.insert(key_hash(key.as_bytes()));
-            } else if name.starts_with("seg-") && name.ends_with(".log") {
-                let path = root.join(name);
-                if self.segments.iter().all(|k| k.seg.path != path) {
-                    if let Some((seg, len)) = Segment::open(path) {
-                        self.segments.push(Known {
-                            seg: Arc::new(seg),
-                            scanned: 0,
-                        });
-                        self.scan(self.segments.len() - 1, len);
-                    }
+            if !(name.starts_with("seg-") && name.ends_with(".log")) {
+                continue;
+            }
+            let path = root.join(name);
+            if self.segments.iter().all(|k| k.seg.path != path) {
+                if let Some((seg, len)) = Segment::open(path) {
+                    self.segments.push(Known {
+                        seg: Arc::new(seg),
+                        scanned: 0,
+                    });
+                    self.scan(self.segments.len() - 1, len);
                 }
             }
         }
@@ -970,12 +927,11 @@ impl ResultStore for DirStore {
         // separates "cold cache" from "damaged cache" on a dashboard.
         let found = match self.locate(key) {
             None => Ok(None),
-            Some(Place::Record(seg, loc)) => seg.read(loc, key).inspect_err(|()| {
+            Some((seg, loc)) => seg.read(loc, key).inspect_err(|()| {
                 // The segment changed after it was indexed: re-read the
                 // directory from scratch, and write somewhere fresh.
                 self.lock().reset();
             }),
-            Some(Place::Legacy) => self.read_legacy(key),
         };
         match found {
             Ok(Some(entry)) => {
@@ -1251,19 +1207,11 @@ mod tests {
         fs::write(segment, &full[..full.len() / 2]).unwrap();
         assert!(store.get(&key).is_none(), "truncated record must miss");
         assert!(DirStore::new(&root).get(&key).is_none());
-
-        // Valid JSON under the wrong legacy file name must also miss.
-        let other = spec_key(&demo_spec().with_seed(1234));
-        let json = serde_json::to_string(&entry).unwrap();
-        fs::write(root.join(format!("{other}.json")), json).unwrap();
-        assert!(store.get(&other).is_none(), "renamed entry must miss");
-        assert!(DirStore::new(&root).get(&other).is_none());
-
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn dir_store_writes_compact_entries_and_still_hits_pretty_ones() {
+    fn dir_store_writes_compact_entries() {
         let root = temp_root("compact");
         let store = DirStore::new(&root);
         let entry = demo_entry(7);
@@ -1286,26 +1234,7 @@ mod tests {
             decode_record(&record),
             Some((entry.key.as_bytes(), compact.as_str()))
         );
-
-        // An entry as older builds wrote it, a pretty `<key>.json`, is still
-        // a verified hit with the same outcome.
-        let legacy = temp_root("compact-legacy");
-        fs::create_dir_all(&legacy).unwrap();
-        let pretty = serde_json::to_string_pretty(&entry).unwrap();
-        assert!(pretty.len() > compact.len());
-        fs::write(legacy.join(format!("{}.json", entry.key)), &pretty).unwrap();
-        let registry = crate::registry::global();
-        let (outcome, hit) = entry
-            .spec
-            .run_cached(registry, &DirStore::new(&legacy), CachePolicy::ReadOnly)
-            .unwrap();
-        assert!(hit, "a pretty entry must be served");
-        assert_eq!(
-            serde_json::to_string(&outcome).unwrap(),
-            serde_json::to_string(&entry.outcome).unwrap()
-        );
         let _ = fs::remove_dir_all(&root);
-        let _ = fs::remove_dir_all(&legacy);
     }
 
     #[test]
@@ -1420,8 +1349,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_compact_and_pretty_entries_both_hit() {
-        let root = temp_root("legacy");
+    fn a_key_json_file_is_inert() {
+        // One file per entry, compact or pretty, as builds before segment
+        // files wrote them: neither is read or counted.
+        let root = temp_root("key-json");
         fs::create_dir_all(&root).unwrap();
         let (compact, pretty) = (demo_entry(1), demo_entry(2));
         fs::write(
@@ -1435,14 +1366,15 @@ mod tests {
         )
         .unwrap();
         let store = DirStore::new(&root);
-        assert_eq!(store.len(), 2);
         for entry in [&compact, &pretty] {
-            let hit = store.get(&entry.key).expect("a legacy entry hits");
-            assert_eq!(hit.spec, entry.spec);
+            assert!(store.get(&entry.key).is_none(), "a <key>.json must miss");
         }
-        // A result stored in a segment on top of a legacy one counts once.
+        assert_eq!(store.len(), 0);
+        // The recomputed result goes into a segment and hits from there.
         store.put(&compact);
-        assert_eq!(store.len(), 2);
+        let hit = store.get(&compact.key).expect("the segment record hits");
+        assert_eq!(hit.spec, compact.spec);
+        assert_eq!(store.len(), 1);
         let _ = fs::remove_dir_all(&root);
     }
 

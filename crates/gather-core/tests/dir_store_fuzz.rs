@@ -4,9 +4,11 @@
 //! Two layers are mutated byte-wise (bit flips, inserted bytes, deleted
 //! bytes, NUL overwrites) and looked up through the verified-hit path:
 //!
-//! * a legacy `<key>.json` entry, as older builds wrote one. Named cases pin
-//!   the JSON parser's fast paths (escape-free string runs, plain integers)
-//!   against the inputs they must still reject;
+//! * the entry JSON of a segment's only record, with the checksum computed
+//!   over the mutated bytes, so every case passes the checksum; one that
+//!   keeps the entry's leading `{"key":"<key>"` then meets the decoder.
+//!   Named cases pin the JSON parser's fast paths (escape-free string runs,
+//!   plain integers) against the inputs they must still reject;
 //! * a segment of records, as another process's store appends them: damage
 //!   inside a record, every cut through the last record, length prefixes
 //!   past the end, and a record whose key disagrees with its entry.
@@ -48,9 +50,9 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
+/// One entry's JSON, looked up as the only record of a segment.
 struct Fixture {
     root: PathBuf,
-    store: DirStore,
     spec: ScenarioSpec,
     key: String,
     entry: String,
@@ -58,31 +60,31 @@ struct Fixture {
 
 impl Fixture {
     fn new(tag: &str) -> Fixture {
-        let root = temp_root(tag);
-        fs::create_dir_all(&root).unwrap();
-        let store = DirStore::new(&root);
         let spec = spec();
         let entry = entry(&spec);
         let key = entry.key.clone();
         let entry = serde_json::to_string(&entry).unwrap();
         Fixture {
-            root,
-            store,
+            root: temp_root(tag),
             spec,
             key,
             entry,
         }
     }
 
-    /// Stores `bytes` as the legacy entry and looks it up. Returns whether a
-    /// hit was served, after checking that a served hit is exactly the one
-    /// the store returned and carries the requested spec.
+    /// Stores `bytes` as the entry of the only record under a fresh root
+    /// and looks it up through a fresh store. Returns whether a hit was
+    /// served, after checking that a served hit is exactly the one the
+    /// store returned and carries the requested spec.
     fn lookup(&self, bytes: &[u8]) -> bool {
-        fs::write(self.root.join(format!("{}.json", self.key)), bytes).unwrap();
-        let stored = self.store.get(&self.key);
+        let _ = fs::remove_dir_all(&self.root);
+        fs::create_dir_all(&self.root).unwrap();
+        fs::write(self.root.join("seg-0-0.log"), record(&self.key, bytes)).unwrap();
+        let store = DirStore::new(&self.root);
+        let stored = store.get(&self.key);
         let (outcome, hit) = self
             .spec
-            .run_cached(registry::global(), &self.store, CachePolicy::ReadOnly)
+            .run_cached(registry::global(), &store, CachePolicy::ReadOnly)
             .expect("a miss recomputes");
         let verified = stored.filter(|e| e.key == self.key && e.spec == self.spec);
         assert_eq!(
@@ -282,12 +284,14 @@ impl Drop for SegmentFixture {
 
 /// A record in the documented layout, built independently of the store:
 /// `key_len: u32 LE | entry_len: u32 LE | key | entry | FNV-1a-64 u64 LE`.
-fn record(key: &str, entry: &str) -> Vec<u8> {
+/// The entry need not be UTF-8: mutated bytes often are not.
+fn record(key: &str, entry: impl AsRef<[u8]>) -> Vec<u8> {
+    let entry = entry.as_ref();
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&(entry.len() as u32).to_le_bytes());
     bytes.extend_from_slice(key.as_bytes());
-    bytes.extend_from_slice(entry.as_bytes());
+    bytes.extend_from_slice(entry);
     let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in &bytes {
         sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -310,7 +314,7 @@ fn an_undamaged_segment_hits_every_record() {
     let rebuilt: Vec<u8> = fx
         .entries
         .iter()
-        .flat_map(|e| record(&e.key, &serde_json::to_string(e).unwrap()))
+        .flat_map(|e| record(&e.key, serde_json::to_string(e).unwrap()))
         .collect();
     assert_eq!(rebuilt, fx.segment);
 }
@@ -385,9 +389,9 @@ fn a_length_prefix_past_the_end_is_a_torn_tail() {
 fn a_record_whose_key_disagrees_with_its_entry_is_skipped_and_counted() {
     let fx = SegmentFixture::new("seg-rekeyed");
     let json = |i: usize| serde_json::to_string(&fx.entries[i]).unwrap();
-    let mut bytes = record(&fx.entries[0].key, &json(0));
-    bytes.extend(record(&fx.entries[1].key, &json(2)));
-    bytes.extend(record(&fx.entries[2].key, &json(2)));
+    let mut bytes = record(&fx.entries[0].key, json(0));
+    bytes.extend(record(&fx.entries[1].key, json(2)));
+    bytes.extend(record(&fx.entries[2].key, json(2)));
     let corrupt = corrupt_total();
     let (store, hits) = fx.lookup(&bytes);
     assert_eq!(hits, [true, false, true]);
@@ -425,16 +429,15 @@ fn a_record_whose_entry_nests_deeply_is_a_corrupt_miss() {
     let fx = SegmentFixture::new("seg-nested");
     let json = |i: usize| serde_json::to_string(&fx.entries[i]).unwrap();
     for depth in [10_000, 100_000] {
-        let mut bytes = record(&fx.entries[0].key, &json(0));
-        bytes.extend(record(&fx.entries[1].key, &"[".repeat(depth)));
-        bytes.extend(record(&fx.entries[2].key, &json(2)));
+        let mut bytes = record(&fx.entries[0].key, json(0));
+        bytes.extend(record(&fx.entries[1].key, "[".repeat(depth)));
+        bytes.extend(record(&fx.entries[2].key, json(2)));
         let corrupt = corrupt_total();
         let (store, hits) = fx.lookup(&bytes);
         assert_eq!(hits, [true, false, true], "depth {depth}");
         assert!(corrupt_total() > corrupt, "depth {depth}: not counted");
         assert_eq!(store.len(), 2);
     }
-    // The legacy one-file-per-entry layout misses too.
-    let legacy = Fixture::new("nested");
-    assert!(!legacy.lookup("[".repeat(10_000).as_bytes()));
+    // So does a record holding nothing but the nesting.
+    assert!(!Fixture::new("nested").lookup("[".repeat(10_000).as_bytes()));
 }

@@ -20,6 +20,25 @@ pub struct Placement {
     pub robots: Vec<(RobotId, NodeId)>,
 }
 
+/// The minimum pairwise hop distance among the given robot positions
+/// (`None` for fewer than two robots). Positions may repeat (distance 0).
+pub fn closest_pair_distance(graph: &PortGraph, positions: &[NodeId]) -> Option<usize> {
+    if positions.len() < 2 {
+        return None;
+    }
+    let mut best = usize::MAX;
+    for (i, &u) in positions.iter().enumerate() {
+        let dist = algo::bfs_distances(graph, u);
+        for &v in positions.iter().skip(i + 1) {
+            best = best.min(dist[v]);
+            if best == 0 {
+                return Some(0);
+            }
+        }
+    }
+    Some(best)
+}
+
 impl Placement {
     /// Builds a placement from explicit `(label, node)` pairs.
     pub fn new(robots: Vec<(RobotId, NodeId)>) -> Self {
@@ -57,18 +76,7 @@ impl Placement {
     /// The minimum hop distance between any two distinct robots
     /// (0 if two robots share a node; `None` for fewer than two robots).
     pub fn closest_pair_distance(&self, graph: &PortGraph) -> Option<usize> {
-        if self.k() < 2 {
-            return None;
-        }
-        let nodes = self.nodes();
-        let mut best = usize::MAX;
-        for (i, &u) in nodes.iter().enumerate() {
-            let dist = algo::bfs_distances(graph, u);
-            for &v in nodes.iter().skip(i + 1) {
-                best = best.min(dist[v]);
-            }
-        }
-        Some(best)
+        closest_pair_distance(graph, &self.nodes())
     }
 
     /// The maximum hop distance between any two robots (`None` for fewer than

@@ -3,61 +3,73 @@
 //! The checker's BFS must never expand the same configuration twice, and it
 //! must never *merge* two distinct configurations (that would silently skip
 //! unexplored behaviour — unsound). [`CanonState`] therefore pairs the
-//! explicitly comparable part of a [`SimState`] (positions, entry ports,
-//! terminated flags, round) with a 128-bit digest of the *entire* state,
-//! robots included.
+//! explicitly comparable part of a [`SimState`] (round, positions,
+//! terminated flags) with a 128-bit digest of the *entire* state, robots
+//! included. Because the round is part of the form, two states of different
+//! rounds never compare equal: this is what lets the traversal keep one BFS
+//! layer of forms at a time (see [`Machine::layer`](crate::Machine::layer)).
 //!
-//! The digest hashes the robots through their `Hash` impls, which are
-//! `#[derive(Hash)]` on every builtin's state structs — the compiler
-//! enumerates every field, so adding robot state cannot silently fall out of
-//! the digest. The one deliberate exclusion is shared immutable data that is
-//! a pure function of already-hashed fields (the UXS offset table, hashed as
-//! `(n, policy)`; see `gather_uxs::Uxs`'s `Hash` impl).
+//! The digest is one walk of the state's `Hash` output through two
+//! differently-seeded FNV-1a lanes, each folding in every byte. It hashes
+//! the robots through their `Hash` impls, which are `#[derive(Hash)]` on
+//! every builtin's state structs — the compiler enumerates every field, so
+//! adding robot state cannot silently fall out of the digest. The one
+//! deliberate exclusion is shared immutable data that is a pure function of
+//! already-hashed fields (the UXS offset table, hashed as `(n, policy)`; see
+//! `gather_uxs::Uxs`'s `Hash` impl).
 
 use gather_sim::SimState;
 use std::hash::{Hash, Hasher};
 
-/// A deterministic, seedable 64-bit FNV-1a hasher.
+/// Two seeded 64-bit FNV-1a lanes fed by one traversal of the hashed value.
 ///
 /// `std`'s default hasher is keyed per-process; counterexample traces and
 /// diagram node identities must not depend on the run, so the digest uses
-/// this fixed-parameter hasher instead.
-struct Fnv1a(u64);
+/// fixed parameters instead. Each lane starts at the FNV offset basis, folds
+/// in its seed's native-endian bytes, then every byte the value writes: the
+/// same result as two independent FNV-1a passes, for the cost of one walk.
+struct Fnv1aPair([u64; 2]);
 
-impl Fnv1a {
+impl Fnv1aPair {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const SEEDS: [u64; 2] = [0x6761_7468_6572_0001, 0x6761_7468_6572_0002];
 
-    fn seeded(seed: u64) -> Self {
-        let mut h = Fnv1a(Self::OFFSET);
-        h.write_u64(seed);
-        h
+    fn seeded() -> Self {
+        let mut lanes = [Self::OFFSET; 2];
+        for (lane, seed) in lanes.iter_mut().zip(Self::SEEDS) {
+            for b in seed.to_ne_bytes() {
+                *lane = (*lane ^ b as u64).wrapping_mul(Self::PRIME);
+            }
+        }
+        Fnv1aPair(lanes)
     }
 }
 
-impl Hasher for Fnv1a {
+impl Hasher for Fnv1aPair {
+    /// The first lane; [`digest_state`] reads both.
     fn finish(&self) -> u64 {
-        self.0
+        self.0[0]
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+        let [mut a, mut b] = self.0;
+        for &byte in bytes {
+            a = (a ^ byte as u64).wrapping_mul(Self::PRIME);
+            b = (b ^ byte as u64).wrapping_mul(Self::PRIME);
         }
+        self.0 = [a, b];
     }
 }
 
-/// The 128-bit digest of a full [`SimState`]: the same state hashed by two
-/// differently-seeded hashers. A collision requires both 64-bit hashes to
+/// The 128-bit digest of a full [`SimState`]: two differently-seeded 64-bit
+/// FNV-1a hashes of the same byte stream. A collision requires both to
 /// collide simultaneously, which is negligible at model-checking scales
 /// (millions of states).
 pub fn digest_state<R: Hash>(state: &SimState<R>) -> [u64; 2] {
-    let mut a = Fnv1a::seeded(0x6761_7468_6572_0001);
-    let mut b = Fnv1a::seeded(0x6761_7468_6572_0002);
-    state.hash(&mut a);
-    state.hash(&mut b);
-    [a.finish(), b.finish()]
+    let mut h = Fnv1aPair::seeded();
+    state.hash(&mut h);
+    h.0
 }
 
 /// The compact, `Hash + Ord` canonical form of one simulation state, used as
@@ -132,6 +144,38 @@ mod tests {
         // in robot-internal state must digest differently: this is exactly
         // what makes visited-set dedup sound.
         assert_ne!(digest_state(&state(0)), digest_state(&state(1)));
+    }
+
+    /// The digest values are part of the checker's observable behaviour
+    /// (they order `CanonState`s), so they are pinned: the toy state and a
+    /// `uxs_gathering` state five rounds in. The byte stream is native-endian
+    /// `Hash` output, so the pins hold on 64-bit little-endian targets.
+    #[test]
+    #[cfg(all(target_pointer_width = "64", target_endian = "little"))]
+    fn digest_values_are_pinned() {
+        use crate::machine::{GatherMachine, Machine};
+        use gather_core::{GatherConfig, UxsGatherRobot};
+        use gather_sim::{Activation, Scheduler};
+
+        assert_eq!(
+            digest_state(&state(0)),
+            [0xd59e_435a_746c_7411, 0x8886_8fc6_710c_413c]
+        );
+        let g = generators::path(3).unwrap();
+        let cfg = GatherConfig::fast();
+        let robots = vec![
+            (UxsGatherRobot::new(1, 3, &cfg), 0),
+            (UxsGatherRobot::new(2, 3, &cfg), 2),
+        ];
+        let m = GatherMachine::new(&g, robots, Scheduler::FullySync);
+        let mut s = m.initial();
+        for _ in 0..5 {
+            s = m.transition(&s, Activation::All);
+        }
+        assert_eq!(
+            digest_state(&s),
+            [0x0bed_5fae_f4dc_2ea8, 0x4a4e_bdd4_7d43_fa9f]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::machine::Machine;
 use crate::traverse::TraverseLimits;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt::Write as _;
 
 /// The display projection of one state: positions (robot-index order) and
@@ -71,7 +71,7 @@ pub fn state_diagram<M: Machine>(
     let mut nodes: Vec<NodeProjection> = Vec::new();
     let mut edge_set: BTreeSet<(usize, usize, String)> = BTreeSet::new();
     let mut terminal: BTreeSet<usize> = BTreeSet::new();
-    let mut visited: HashMap<M::Canon, ()> = HashMap::new();
+    let mut visited: HashSet<M::Canon> = HashSet::new();
     let mut queue: VecDeque<M::State> = VecDeque::new();
     let mut truncated = false;
 
@@ -83,7 +83,7 @@ pub fn state_diagram<M: Machine>(
     };
 
     let root = machine.initial();
-    visited.insert(machine.canonicalize(&root), ());
+    visited.insert(machine.canonicalize(&root));
     let initial = intern(project(&root), &mut nodes);
     queue.push_back(root);
 
@@ -102,10 +102,7 @@ pub fn state_diagram<M: Machine>(
             let next = machine.transition(&state, action);
             let to = intern(project(&next), &mut nodes);
             edge_set.insert((from, to, format!("{action:?}")));
-            if let std::collections::hash_map::Entry::Vacant(e) =
-                visited.entry(machine.canonicalize(&next))
-            {
-                e.insert(());
+            if visited.insert(machine.canonicalize(&next)) {
                 queue.push_back(next);
             }
         }

@@ -36,6 +36,21 @@ pub trait Machine {
     /// The unique successor of `state` under `action`. Pure: equal inputs
     /// give equal outputs and `state` is not modified.
     fn transition(&self, state: &Self::State, action: Self::Action) -> Self::State;
+
+    /// The BFS layer of `state`, for machines that are layered (default:
+    /// `None`, not layered).
+    ///
+    /// A machine that returns `Some` for its initial state promises two
+    /// things: every action advances the layer by exactly one, and states in
+    /// different layers never have equal canonical forms. A state can then
+    /// only equal states of its own layer, so [`traverse`](crate::traverse())
+    /// keeps one layer of canonical forms instead of every form ever seen.
+    /// The traversal asserts the first promise on every transition; the
+    /// second is the implementor's to keep (typically by putting the layer
+    /// into the canonical form).
+    fn layer(&self, _state: &Self::State) -> Option<u64> {
+        None
+    }
 }
 
 /// The gathering transition system: one algorithm's robots on one graph
@@ -150,6 +165,12 @@ impl<R: Robot + Clone + Hash> Machine for GatherMachine<'_, R> {
     fn transition(&self, state: &SimState<R>, action: Activation) -> SimState<R> {
         let bufs = &mut self.bufs.borrow_mut();
         gather_sim::transition(self.graph, state, action, self.faults.as_ref(), bufs)
+    }
+
+    /// The round: every activation steps one round, and [`CanonState`]
+    /// carries the round, so states of different rounds never compare equal.
+    fn layer(&self, state: &SimState<R>) -> Option<u64> {
+        Some(state.round)
     }
 }
 

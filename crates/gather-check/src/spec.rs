@@ -274,29 +274,59 @@ pub fn suggested_round_bound(algorithm: &str, n: usize, config: &GatherConfig) -
     })
 }
 
-/// Builds the robots of the checkable algorithm `name` — a built-in via
-/// [`Algorithm::with_robots`], or [`BROKEN_EAGER`] — and hands them to
-/// `visitor`. Checking runs on the concrete robot types because the state
-/// digest needs `R: Hash`; every caller that executes an instance (checking,
-/// replay) goes through here.
-pub(crate) fn with_check_robots<V: RobotVisitor>(
-    name: &str,
-    graph: &PortGraph,
-    placement: &Placement,
-    config: &GatherConfig,
-    visitor: V,
-) -> Result<V::Output, CheckError> {
-    if name == BROKEN_EAGER {
-        let robots = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (BrokenEager::new(id), node))
-            .collect();
-        return Ok(visitor.visit(robots));
+/// A spec's graph, placement and resolved faults: everything an execution
+/// of it needs besides the robots. Checking and replay both instantiate
+/// through here, so they see the same instance.
+pub(crate) struct Instance {
+    /// The graph, built from the scenario's derived graph seed.
+    pub(crate) graph: PortGraph,
+    placement: Placement,
+    /// The resolved fault table; `None` for fault-free specs.
+    pub(crate) faults: Option<EngineFaults>,
+}
+
+impl Instance {
+    /// Builds the instance of `spec`, with the seeds a simulation of the
+    /// same spec fields would derive.
+    pub(crate) fn of(spec: &CheckSpec) -> Result<Self, CheckError> {
+        let scenario = spec.scenario();
+        let graph = spec.graph.build(scenario.graph_seed())?;
+        let placement = spec.placement.build(&graph, scenario.placement_seed())?;
+        let faults = if spec.faults.is_empty() {
+            None
+        } else {
+            Some(spec.faults.resolve(&placement.ids())?)
+        };
+        Ok(Instance {
+            graph,
+            placement,
+            faults,
+        })
     }
-    let algorithm =
-        Algorithm::from_name(name).ok_or_else(|| CheckError::UnknownAlgorithm(name.to_string()))?;
-    Ok(algorithm.with_robots(graph, placement, config, visitor))
+
+    /// Builds the robots of the checkable `algorithm` — a built-in via
+    /// [`Algorithm::with_robots`], or [`BROKEN_EAGER`] — and hands them to
+    /// `visitor`. Checking runs on the concrete robot types because the
+    /// state digest needs `R: Hash`.
+    pub(crate) fn with_robots<V: RobotVisitor>(
+        &self,
+        algorithm: &AlgorithmSpec,
+        visitor: V,
+    ) -> Result<V::Output, CheckError> {
+        let name = algorithm.name.as_str();
+        if name == BROKEN_EAGER {
+            let robots = self
+                .placement
+                .robots
+                .iter()
+                .map(|&(id, node)| (BrokenEager::new(id), node))
+                .collect();
+            return Ok(visitor.visit(robots));
+        }
+        let builtin = Algorithm::from_name(name)
+            .ok_or_else(|| CheckError::UnknownAlgorithm(name.to_string()))?;
+        Ok(builtin.with_robots(&self.graph, &self.placement, &algorithm.config, visitor))
+    }
 }
 
 /// Exhaustively checks one instance.
@@ -304,37 +334,11 @@ pub(crate) fn with_check_robots<V: RobotVisitor>(
 /// Fails only when the spec cannot be *instantiated*; a violation found by
 /// the traversal is a successful run with `verdict == Violated`.
 pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CheckError> {
-    let scenario = spec.scenario();
-    let graph = spec.graph.build(scenario.graph_seed())?;
-    let placement = spec.placement.build(&graph, scenario.placement_seed())?;
-    let config = &spec.algorithm.config;
-    let faults = resolve_check_faults(&spec.faults, &placement.ids())?;
-    let bound = match spec.round_bound {
-        Some(b) => b,
-        None => suggested_round_bound(&spec.algorithm.name, graph.n(), config)
-            .ok_or_else(|| CheckError::UnknownAlgorithm(spec.algorithm.name.clone()))?,
-    };
-    let exhaust = Exhaust {
-        graph: &graph,
-        scheduler: spec.scheduler,
-        bound,
-        limits: spec.limits(),
-        faults: faults.as_ref(),
-    };
-    let outcome = with_check_robots(&spec.algorithm.name, &graph, &placement, config, exhaust)?;
+    let instance = Instance::of(spec)?;
+    let exhaust = Exhaust::new(spec, &instance)?;
+    let bound = exhaust.bound;
+    let outcome = instance.with_robots(&spec.algorithm, exhaust)?;
     Ok(report_from(spec, bound, outcome))
-}
-
-/// Resolves a spec's fault plan against the placed robot ids. `Ok(None)`
-/// for fault-free specs.
-pub(crate) fn resolve_check_faults(
-    plan: &FaultPlan,
-    ids: &[gather_sim::RobotId],
-) -> Result<Option<EngineFaults>, CheckError> {
-    if plan.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(plan.resolve(ids)?))
 }
 
 /// Builds the machine for the visited robots and exhausts it.
@@ -346,10 +350,29 @@ struct Exhaust<'a> {
     faults: Option<&'a EngineFaults>,
 }
 
-impl RobotVisitor for Exhaust<'_> {
-    type Output = TraverseOutcome<Activation, Violation>;
+impl<'a> Exhaust<'a> {
+    fn new(spec: &CheckSpec, instance: &'a Instance) -> Result<Self, CheckError> {
+        let name = &spec.algorithm.name;
+        let bound = match spec.round_bound {
+            Some(b) => b,
+            None => suggested_round_bound(name, instance.graph.n(), &spec.algorithm.config)
+                .ok_or_else(|| CheckError::UnknownAlgorithm(name.clone()))?,
+        };
+        Ok(Exhaust {
+            graph: &instance.graph,
+            scheduler: spec.scheduler,
+            bound,
+            limits: spec.limits(),
+            faults: instance.faults.as_ref(),
+        })
+    }
 
-    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> Self::Output {
+    /// The machine over `robots` and the predicates that classify its
+    /// states.
+    fn machine<R: Robot + Clone + Hash>(
+        &self,
+        robots: Vec<(R, NodeId)>,
+    ) -> (GatherMachine<'a, R>, PredicateCtx) {
         let machine = match self.faults {
             None => GatherMachine::new(self.graph, robots, self.scheduler),
             Some(f) => GatherMachine::with_faults(self.graph, robots, self.scheduler, f.clone()),
@@ -359,6 +382,15 @@ impl RobotVisitor for Exhaust<'_> {
         if let Some(f) = self.faults {
             ctx = ctx.with_crash_faults(f);
         }
+        (machine, ctx)
+    }
+}
+
+impl RobotVisitor for Exhaust<'_> {
+    type Output = TraverseOutcome<Activation, Violation>;
+
+    fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> Self::Output {
+        let (machine, ctx) = self.machine(robots);
         traverse(&machine, self.limits, |s| ctx.classify(s))
     }
 }
@@ -404,6 +436,7 @@ fn report_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use gather_graph::generators::Family;
     use gather_sim::placement::PlacementKind;
 
@@ -615,5 +648,110 @@ mod tests {
             assert!(suggested_round_bound(name, 6, &cfg).is_some(), "{name}");
         }
         assert!(suggested_round_bound("no_such", 6, &cfg).is_none());
+    }
+
+    /// A machine that delegates everything to `M` but does not declare its
+    /// layers, so [`traverse`] keeps every canonical form ever seen.
+    struct Flat<'m, M>(&'m M);
+
+    impl<M: Machine> Machine for Flat<'_, M> {
+        type State = M::State;
+        type Canon = M::Canon;
+        type Action = M::Action;
+
+        fn initial(&self) -> M::State {
+            self.0.initial()
+        }
+        fn canonicalize(&self, state: &M::State) -> M::Canon {
+            self.0.canonicalize(state)
+        }
+        fn actions(&self, state: &M::State) -> Vec<M::Action> {
+            self.0.actions(state)
+        }
+        fn transition(&self, state: &M::State, action: M::Action) -> M::State {
+            self.0.transition(state, action)
+        }
+    }
+
+    /// Traverses the spec's machine as it is (layered) and wrapped in
+    /// [`Flat`].
+    struct BothWays<'a>(Exhaust<'a>);
+
+    impl RobotVisitor for BothWays<'_> {
+        type Output = [TraverseOutcome<Activation, Violation>; 2];
+
+        fn visit<R: Robot + Clone + Hash + Send>(self, robots: Vec<(R, NodeId)>) -> Self::Output {
+            let (machine, ctx) = self.0.machine(robots);
+            assert_eq!(machine.layer(&machine.initial()), Some(0));
+            [
+                traverse(&machine, self.0.limits, |s| ctx.classify(s)),
+                traverse(&Flat(&machine), self.0.limits, |s| ctx.classify(s)),
+            ]
+        }
+    }
+
+    /// Everything a traversal reports: counters, verdict and trace.
+    fn summary(
+        outcome: TraverseOutcome<Activation, Violation>,
+    ) -> (TraverseStats, Verdict, Option<(Vec<Activation>, Violation)>) {
+        let stats = outcome.stats();
+        match outcome {
+            TraverseOutcome::Verified(_) => (stats, Verdict::Verified, None),
+            TraverseOutcome::Truncated(_) => (stats, Verdict::Truncated, None),
+            TraverseOutcome::Violation {
+                trace, violation, ..
+            } => (stats, Verdict::Violated, Some((trace, violation))),
+        }
+    }
+
+    fn matrix(json: &str) -> Vec<CheckSpec> {
+        serde_json::from_str::<CheckMatrix>(json)
+            .expect("matrix parses")
+            .checks
+    }
+
+    /// The layered visited set and the single-successor shortcut change
+    /// how much the traversal keeps and hashes, never what it finds: on the
+    /// pinned matrices, a Sequential check and a truncated SemiSync check,
+    /// the layered and the flat traversal agree on every counter, the
+    /// verdict and the counterexample.
+    #[test]
+    fn layered_and_flat_traversals_agree() {
+        let mut specs = matrix(include_str!("../../../ci/check_matrix.json"));
+        specs.extend(matrix(include_str!(
+            "../tests/fixtures/byzantine_matrix.json"
+        )));
+        specs.extend(
+            matrix(include_str!("../tests/fixtures/sequential_matrix.json"))
+                .into_iter()
+                .filter(|s| s.algorithm.name == "uxs_gathering"),
+        );
+        let mut semi = spec(
+            "uxs_gathering",
+            Family::Path,
+            4,
+            PlacementKind::MaxSpread,
+            2,
+        )
+        .with_scheduler(Scheduler::SemiSync);
+        semi.max_states = Some(20_000);
+        specs.push(semi);
+
+        let mut verdicts = Vec::new();
+        for (i, spec) in specs.iter().enumerate() {
+            let instance = Instance::of(spec).unwrap();
+            let exhaust = Exhaust::new(spec, &instance).unwrap();
+            let [layered, flat] = instance
+                .with_robots(&spec.algorithm, BothWays(exhaust))
+                .unwrap();
+            let (layered, flat) = (summary(layered), summary(flat));
+            assert_eq!(layered, flat, "check #{i}");
+            verdicts.push(layered.1);
+        }
+        // All three verdicts are compared, the Sequential and SemiSync
+        // checks are the last two.
+        assert_eq!(verdicts.last(), Some(&Verdict::Truncated));
+        assert_eq!(verdicts[verdicts.len() - 2], Verdict::Violated);
+        assert!(verdicts.contains(&Verdict::Verified));
     }
 }

@@ -10,7 +10,7 @@
 //! violation from them.
 
 use crate::predicates::{PredicateCtx, Violation};
-use crate::spec::{with_check_robots, CheckError, CheckSpec};
+use crate::spec::{CheckError, CheckSpec, Instance};
 use crate::traverse::StateClass;
 use gather_core::RobotVisitor;
 use gather_graph::{NodeId, PortGraph};
@@ -88,32 +88,14 @@ impl Counterexample {
     /// Re-executes the activation sequence through the pure engine step and
     /// returns the first violation the predicates observe along the way.
     pub fn replay(&self) -> Result<Violation, ReplayError> {
-        let scenario = self.spec.scenario();
-        let graph = self
-            .spec
-            .graph
-            .build(scenario.graph_seed())
-            .map_err(CheckError::from)?;
-        let placement = self
-            .spec
-            .placement
-            .build(&graph, scenario.placement_seed())
-            .map_err(CheckError::from)?;
-        let config = &self.spec.algorithm.config;
-        let faults = crate::spec::resolve_check_faults(&self.spec.faults, &placement.ids())?;
+        let instance = Instance::of(&self.spec)?;
         let replay = Replay {
-            graph: &graph,
+            graph: &instance.graph,
             activations: &self.activations,
             bound: self.round_bound,
-            faults: faults.as_ref(),
+            faults: instance.faults.as_ref(),
         };
-        with_check_robots(
-            &self.spec.algorithm.name,
-            &graph,
-            &placement,
-            config,
-            replay,
-        )?
+        instance.with_robots(&self.spec.algorithm, replay)?
     }
 
     /// Replays and checks that the observed violation matches the recorded

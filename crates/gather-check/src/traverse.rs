@@ -1,13 +1,21 @@
 //! The exhaustive breadth-first traverser.
 //!
 //! Explores every reachable state of a [`Machine`] (every scheduler
-//! interleaving), deduplicating via the canonical visited set, and classifies
-//! each state through a caller-supplied inspector. Because the search is
-//! breadth-first, the first violation found has a **minimal** action trace
-//! from the initial state, which is what gets reported and replayed.
+//! interleaving), deduplicating via a visited set of canonical forms, and
+//! classifies each state through a caller-supplied inspector. Because the
+//! search is breadth-first, the first violation found has a **minimal**
+//! action trace from the initial state, which is what gets reported and
+//! replayed.
+//!
+//! A layered machine ([`Machine::layer`], e.g. a gathering machine, whose
+//! layer is the round) can only repeat states within one BFS layer, so the
+//! visited set holds one layer at a time, and a state that is alone in its
+//! layer is never canonicalized. A fully synchronous check, a chain of
+//! single-successor states, then costs one transition per round and no
+//! hashing. Machines that are not layered keep every form ever seen.
 
 use crate::machine::Machine;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// How the inspector classifies one visited state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +48,7 @@ impl Default for TraverseLimits {
 /// Counters describing one finished traversal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraverseStats {
-    /// Distinct states visited (= size of the visited set).
+    /// Distinct states visited (each is inspected once).
     pub states: u64,
     /// Transitions executed (edges of the reachability graph).
     pub transitions: u64,
@@ -91,27 +99,39 @@ impl<A, V> TraverseOutcome<A, V> {
 /// `inspect` sees each distinct state exactly once (in BFS order, the
 /// initial state first). The traversal keeps full states only on the
 /// frontier; the visited set holds canonical forms, and traces are rebuilt
-/// from a parent index over those forms.
+/// from a parent index over the visited states.
+///
+/// For a layered machine (see [`Machine::layer`]) the visited set holds one
+/// layer: it is cleared when the first state of a new depth is popped, since
+/// no later state can equal an earlier layer's. A popped state that is the
+/// last one queued and has exactly one action has a successor alone in the
+/// next layer, which is queued without being canonicalized. Every
+/// transition of a layered machine is asserted to advance the layer by one;
+/// a machine that breaks the promise panics here rather than verifying
+/// unsoundly. Other machines keep every canonical form ever seen.
 pub fn traverse<M: Machine, V>(
     machine: &M,
     limits: TraverseLimits,
     mut inspect: impl FnMut(&M::State) -> StateClass<V>,
 ) -> TraverseOutcome<M::Action, V> {
-    // Canon -> index into `parents`; parents[i] = (parent canon index,
-    // action that led here). The root has no parent entry (index 0 is a
-    // sentinel for "root").
-    let mut visited: HashMap<M::Canon, usize> = HashMap::new();
+    // parents[i] = (parent index, action that led here) for the i-th queued
+    // state; the root's entry has no action.
+    let mut visited: HashSet<M::Canon> = HashSet::new();
     let mut parents: Vec<(usize, Option<M::Action>)> = Vec::new();
     let mut queue: VecDeque<(M::State, usize, u64)> = VecDeque::new();
     let mut stats = TraverseStats::default();
 
     let root = machine.initial();
-    let root_canon = machine.canonicalize(&root);
-    visited.insert(root_canon, 0);
+    visited.insert(machine.canonicalize(&root));
     parents.push((usize::MAX, None));
     queue.push_back((root, 0, 0));
 
     while let Some((state, idx, depth)) = queue.pop_front() {
+        let layer = machine.layer(&state);
+        if layer.is_some() && depth > stats.depth {
+            // Only the next layer can still be discovered.
+            visited.clear();
+        }
         stats.states += 1;
         stats.depth = stats.depth.max(depth);
         match inspect(&state) {
@@ -131,15 +151,20 @@ pub fn traverse<M: Machine, V>(
         if stats.states >= limits.max_states {
             return TraverseOutcome::Truncated(stats);
         }
-        for action in machine.actions(&state) {
+        let actions = machine.actions(&state);
+        let alone = layer.is_some() && queue.is_empty() && actions.len() == 1;
+        for action in actions {
             let next = machine.transition(&state, action);
             stats.transitions += 1;
-            let canon = machine.canonicalize(&next);
-            if let std::collections::hash_map::Entry::Vacant(e) = visited.entry(canon) {
-                let next_idx = parents.len();
-                e.insert(next_idx);
+            let next_layer = machine.layer(&next);
+            assert!(
+                next_layer == layer.map(|l| l + 1),
+                "Machine::layer broke its contract: an action from layer {layer:?} \
+                 led to layer {next_layer:?}"
+            );
+            if alone || visited.insert(machine.canonicalize(&next)) {
                 parents.push((idx, Some(action)));
-                queue.push_back((next, next_idx, depth + 1));
+                queue.push_back((next, parents.len() - 1, depth + 1));
             }
         }
     }
@@ -160,6 +185,7 @@ fn rebuild_trace<A: Copy>(parents: &[(usize, Option<A>)], mut idx: usize) -> Vec
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use std::cell::Cell;
 
     /// A toy machine: states are integers 0..=max, actions add 1 or 2.
     struct Counter {
@@ -187,6 +213,114 @@ mod tests {
         fn transition(&self, s: &u32, a: u32) -> u32 {
             (*s + a).min(self.max)
         }
+    }
+
+    /// A layered toy: a chain 0, 1, ..., `len` whose layer is the state.
+    /// Its one action adds `step`, so `step` 0 breaks the layer contract.
+    struct Chain {
+        len: u64,
+        step: u64,
+        canon_calls: Cell<u32>,
+    }
+
+    impl Chain {
+        fn new(len: u64, step: u64) -> Self {
+            Chain {
+                len,
+                step,
+                canon_calls: Cell::new(0),
+            }
+        }
+    }
+
+    impl Machine for Chain {
+        type State = u64;
+        type Canon = u64;
+        type Action = ();
+
+        fn initial(&self) -> u64 {
+            0
+        }
+        fn canonicalize(&self, s: &u64) -> u64 {
+            self.canon_calls.set(self.canon_calls.get() + 1);
+            *s
+        }
+        fn actions(&self, s: &u64) -> Vec<()> {
+            if *s >= self.len {
+                vec![]
+            } else {
+                vec![()]
+            }
+        }
+        fn transition(&self, s: &u64, _a: ()) -> u64 {
+            s + self.step
+        }
+        fn layer(&self, s: &u64) -> Option<u64> {
+            Some(*s)
+        }
+    }
+
+    #[test]
+    fn a_layered_chain_canonicalizes_only_its_root() {
+        let chain = Chain::new(10, 1);
+        let out = traverse(&chain, TraverseLimits::default(), |_s| {
+            StateClass::<()>::Expand
+        });
+        assert!(out.is_verified());
+        assert_eq!(out.stats().states, 11);
+        assert_eq!(out.stats().depth, 10);
+        assert_eq!(chain.canon_calls.get(), 1);
+    }
+
+    /// A layered diamond: 0 branches to 1 and 2, which both step to 3.
+    struct Diamond;
+
+    impl Machine for Diamond {
+        type State = u8;
+        type Canon = u8;
+        type Action = u8;
+
+        fn initial(&self) -> u8 {
+            0
+        }
+        fn canonicalize(&self, s: &u8) -> u8 {
+            *s
+        }
+        fn actions(&self, s: &u8) -> Vec<u8> {
+            match s {
+                0 => vec![1, 2],
+                1 | 2 => vec![3],
+                _ => vec![],
+            }
+        }
+        fn transition(&self, _s: &u8, a: u8) -> u8 {
+            a
+        }
+        fn layer(&self, s: &u8) -> Option<u64> {
+            Some(u64::from(s.div_ceil(2)))
+        }
+    }
+
+    #[test]
+    fn single_successors_of_a_shared_layer_are_still_merged() {
+        // 1 and 2 each have one action, but they share a layer, so their
+        // common successor must be deduplicated, not queued twice.
+        let out = traverse(&Diamond, TraverseLimits::default(), |_s| {
+            StateClass::<()>::Expand
+        });
+        assert!(out.is_verified());
+        assert_eq!(out.stats().states, 4);
+        assert_eq!(out.stats().transitions, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "Machine::layer broke its contract")]
+    fn a_layered_machine_that_does_not_advance_its_layer_panics() {
+        // Without the assert this chain, alone in every layer, would
+        // re-queue state 0 until the state cap.
+        traverse(&Chain::new(10, 0), TraverseLimits::default(), |_s| {
+            StateClass::<()>::Expand
+        });
     }
 
     #[test]

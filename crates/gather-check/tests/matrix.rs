@@ -5,6 +5,12 @@
 //! `tests/fixtures/byzantine_matrix.json` are held the same way, and on
 //! every fully synchronous entry of either the simulator's false-detection
 //! flag agrees with the checker's early-termination verdict.
+//!
+//! `tests/fixtures/sequential_matrix.json` pins the three decided verdicts
+//! of the fault-free matrix instances under a Sequential adversary. Only its
+//! `uxs_gathering` entry runs here; its 1.66 M-state `faster_gathering`
+//! entry takes too long in a debug build, so CI runs the whole fixture
+//! through `gather-check --matrix` in release.
 
 #[path = "../../gather-service/tests/process/mod.rs"]
 mod process;
@@ -28,6 +34,10 @@ fn matrix() -> CheckMatrix {
 
 fn byzantine_matrix() -> CheckMatrix {
     serde_json::from_str(include_str!("fixtures/byzantine_matrix.json")).expect("matrix parses")
+}
+
+fn sequential_matrix() -> CheckMatrix {
+    serde_json::from_str(include_str!("fixtures/sequential_matrix.json")).expect("matrix parses")
 }
 
 fn check_matrix(path: &str) -> std::process::Output {
@@ -122,4 +132,45 @@ fn simulated_false_detection_agrees_with_checked_early_termination() {
             spec.scenario().to_json()
         );
     }
+}
+
+/// Each Sequential entry is a fault-free instance of the pinned matrix under
+/// the Sequential scheduler with a 2 M-state cap, and the `uxs_gathering`
+/// one is violated by an early termination at round 513 whose trace
+/// replays.
+#[test]
+fn the_sequential_uxs_entry_reaches_its_pinned_early_termination() {
+    let pinned = matrix().checks;
+    let sequential = sequential_matrix().checks;
+    assert_eq!(sequential.len(), 3);
+    for (i, spec) in sequential.iter().enumerate() {
+        assert_eq!(spec.scheduler, Scheduler::Sequential, "entry #{i}");
+        assert_eq!(spec.max_states, Some(2_000_000), "entry #{i}");
+        let mut instance = spec.clone().with_scheduler(Scheduler::FullySync);
+        instance.max_states = None;
+        instance.expect = None;
+        assert!(
+            pinned.contains(&instance),
+            "entry #{i} is a pinned instance"
+        );
+    }
+
+    let spec = sequential
+        .iter()
+        .find(|s| s.algorithm.name == "uxs_gathering")
+        .expect("a uxs_gathering entry");
+    let report = run_check(spec).expect("check runs");
+    assert_eq!(report.verdict, Verdict::Violated);
+    assert_eq!(spec.expect, Some(Verdict::Violated));
+    let cex = report.counterexample.expect("violated => counterexample");
+    assert!(
+        matches!(
+            cex.violation,
+            Violation::EarlyTermination { round: 513, .. }
+        ),
+        "{:?}",
+        cex.violation
+    );
+    assert_eq!(cex.activations.len(), 513);
+    cex.verify().expect("the Sequential counterexample replays");
 }

@@ -12,11 +12,14 @@
 //! inside the engine's per-round loop. Rings are bounded
 //! ([`RING_CAPACITY`] records per thread): when full, the oldest record
 //! is dropped and the drop is counted, so a chatty subsystem can never
-//! balloon memory.
+//! balloon memory. A thread's ring goes when the thread exits: its records
+//! move into one shared ring of the same capacity that keeps exited
+//! threads' records until the next drain, so a daemon that runs one thread
+//! per connection holds rings for its live threads only.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Per-thread ring capacity, in records.
@@ -62,9 +65,25 @@ fn now_micros() -> u64 {
     epoch().elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-fn rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+/// Every ring a drain reads.
+struct Rings {
+    /// The rings of threads that have recorded and are still running.
+    live: Vec<Arc<Mutex<Ring>>>,
+    /// The records of threads that have exited, bounded like any ring.
+    exited: Ring,
+}
+
+fn rings() -> &'static Mutex<Rings> {
+    static RINGS: OnceLock<Mutex<Rings>> = OnceLock::new();
+    RINGS.get_or_init(|| {
+        Mutex::new(Rings {
+            live: Vec::new(),
+            exited: Ring {
+                records: VecDeque::new(),
+                dropped: 0,
+            },
+        })
+    })
 }
 
 fn thread_id() -> u64 {
@@ -80,19 +99,40 @@ fn thread_id() -> u64 {
     ID.with(|id| *id)
 }
 
+/// The current thread's ring, registered in [`rings`] while the thread
+/// runs.
+struct LocalRing(Arc<Mutex<Ring>>);
+
+impl Drop for LocalRing {
+    /// The thread is exiting: its records move to the exited ring and its
+    /// ring leaves the registry.
+    fn drop(&mut self) {
+        // A panic here would abort the process: take poisoned locks as
+        // they are.
+        let mut rings = rings().lock().unwrap_or_else(PoisonError::into_inner);
+        rings.live.retain(|ring| !Arc::ptr_eq(ring, &self.0));
+        let mut ring = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        for record in ring.records.drain(..) {
+            rings.exited.push(record);
+        }
+        rings.exited.dropped += ring.dropped;
+    }
+}
+
 thread_local! {
-    static LOCAL_RING: Arc<Mutex<Ring>> = {
+    static LOCAL_RING: LocalRing = {
         let ring = Arc::new(Mutex::new(Ring { records: VecDeque::new(), dropped: 0 }));
         rings()
             .lock()
             .expect("trace ring registry poisoned")
+            .live
             .push(Arc::clone(&ring));
-        ring
+        LocalRing(ring)
     };
 }
 
 fn push(record: TraceRecord) {
-    LOCAL_RING.with(|ring| ring.lock().expect("trace ring poisoned").push(record));
+    LOCAL_RING.with(|ring| ring.0.lock().expect("trace ring poisoned").push(record));
 }
 
 /// Records a point event on the current thread's ring.
@@ -137,14 +177,15 @@ pub fn span(name: &str, detail: impl std::fmt::Display) -> Span {
     }
 }
 
-/// Drains every thread's ring into one batch sorted by timestamp, and
-/// clears the rings. Returns `(records, dropped)` where `dropped` counts
-/// records lost to ring overflow since the last drain.
+/// Drains every thread's ring, and the records of exited threads, into one
+/// batch sorted by timestamp, and clears the rings. Returns
+/// `(records, dropped)` where `dropped` counts records lost to ring
+/// overflow since the last drain.
 pub fn drain() -> (Vec<TraceRecord>, u64) {
-    let rings = rings().lock().expect("trace ring registry poisoned");
-    let mut all = Vec::new();
-    let mut dropped = 0u64;
-    for ring in rings.iter() {
+    let mut rings = rings().lock().expect("trace ring registry poisoned");
+    let mut all: Vec<TraceRecord> = rings.exited.records.drain(..).collect();
+    let mut dropped = std::mem::take(&mut rings.exited.dropped);
+    for ring in rings.live.iter() {
         let mut ring = ring.lock().expect("trace ring poisoned");
         all.extend(ring.records.drain(..));
         dropped += ring.dropped;
@@ -222,6 +263,21 @@ mod tests {
         let back: TraceRecord = serde_json::from_str(lines[0]).unwrap();
         assert_eq!(back.name, "jsonl_probe");
         assert_eq!(back.dur_micros, None);
+
+        // An exited thread's ring leaves the registry; its records stay
+        // until the next drain.
+        let live = || rings().lock().unwrap().live.len();
+        let before = live();
+        for i in 0..16 {
+            std::thread::spawn(move || event("exited_thread", i))
+                .join()
+                .unwrap();
+        }
+        assert!(live() < before + 16, "exited threads' rings are released");
+        let (records, dropped) = drain();
+        assert_eq!(dropped, 0);
+        let exited = records.iter().filter(|r| r.name == "exited_thread");
+        assert_eq!(exited.count(), 16);
 
         // Overflow drops oldest and is counted.
         for i in 0..(RING_CAPACITY + 10) {
